@@ -30,6 +30,7 @@ arities n <= 2K and that check is complete.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from . import f2
@@ -48,23 +49,65 @@ class BimodGenerator:
     right: int  # idempotent basis index in A2
 
 
-class TypeDABimodule:
+def _sorted_index(items) -> dict:
+    index: dict = {}
+    for key, value in items:
+        index.setdefault(key, []).append(value)
+    for v in index.values():
+        v.sort()
+    return index
+
+
+class DATable:
+    """A finitely supported table (generator x, A2 sequence) -> sums of
+    (b, y): the shape shared by a bimodule's structure map and by a
+    morphism of bimodules.  Zero entries are dropped on construction."""
+
+    def __init__(self, table: Mapping[Key, Span], label: str = ""):
+        self.table = {k: v for k, v in table.items() if v}
+        self.label = label
+        self.arity_bound = max((len(seq) for _, seq in self.table), default=0)
+
+    def entry(self, x: int, seq: tuple[int, ...]) -> Span:
+        return self.table.get((x, seq), frozenset())
+
+    @cached_property
+    def entries_by_sequence(self) -> dict[tuple[int, ...], list]:
+        """seq -> list of (x, outputs); used by the morphism solver."""
+        return _sorted_index((seq, (x, outs))
+                             for (x, seq), outs in self.table.items())
+
+    @cached_property
+    def entries_by_generator(self) -> dict[int, list]:
+        """x -> list of (seq, outputs)."""
+        return _sorted_index((x, (seq, outs))
+                             for (x, seq), outs in self.table.items())
+
+    @cached_property
+    def entries_by_output(self) -> dict[int, list]:
+        """output generator y -> list of (x, seq, algebra output c)."""
+        return _sorted_index((y, (x, seq, c))
+                             for (x, seq), outs in self.table.items()
+                             for c, y in outs)
+
+
+class TypeDABimodule(DATable):
     """Immutable type DA bimodule; build with make_bimodule."""
 
     def __init__(self, left_algebra: DGAlgebra, right_algebra: DGAlgebra,
                  gens: tuple[BimodGenerator, ...],
                  d1: Mapping[Key, Span], label: str = ""):
+        super().__init__(d1, label)
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
         self.gens = gens
-        self.d1 = {k: v for k, v in d1.items() if v}
-        self.label = label
-        self.arity_bound = max((len(seq) for _, seq in self.d1), default=0)
         self._gen_index = {g.name: i for i, g in enumerate(gens)}
-        self._by_seq = None
-        self._by_gen = None
-        self._by_out = None
         self._chained = None
+
+    @property
+    def d1(self) -> dict[Key, Span]:
+        """The structure table D_1."""
+        return self.table
 
     @property
     def size(self) -> int:
@@ -72,46 +115,6 @@ class TypeDABimodule:
 
     def gen_index(self, name: str) -> int:
         return self._gen_index[name]
-
-    def entry(self, x: int, seq: tuple[int, ...]) -> Span:
-        return self.d1.get((x, seq), frozenset())
-
-    @property
-    def entries_by_sequence(self) -> dict[tuple[int, ...], list]:
-        """seq -> list of (x, outputs); used by the morphism solver."""
-        if self._by_seq is None:
-            index: dict[tuple[int, ...], list] = {}
-            for (x, seq), outs in self.d1.items():
-                index.setdefault(seq, []).append((x, outs))
-            for v in index.values():
-                v.sort()
-            self._by_seq = index
-        return self._by_seq
-
-    @property
-    def entries_by_generator(self) -> dict[int, list]:
-        """x -> list of (seq, outputs)."""
-        if self._by_gen is None:
-            index: dict[int, list] = {}
-            for (x, seq), outs in self.d1.items():
-                index.setdefault(x, []).append((seq, outs))
-            for v in index.values():
-                v.sort()
-            self._by_gen = index
-        return self._by_gen
-
-    @property
-    def entries_by_output(self) -> dict[int, list]:
-        """output generator y -> list of (x, seq, algebra output c)."""
-        if self._by_out is None:
-            index: dict[int, list] = {}
-            for (x, seq), outs in self.d1.items():
-                for c, y in outs:
-                    index.setdefault(y, []).append((x, seq, c))
-            for v in index.values():
-                v.sort()
-            self._by_out = index
-        return self._by_out
 
     @property
     def is_chained(self) -> bool:
@@ -130,7 +133,7 @@ class TypeDABimodule:
             self._chained = (self.left_algebra.idem_graded
                              and self.right_algebra.idem_graded
                              and all(self._entry_chained(k, v)
-                                     for k, v in self.d1.items()))
+                                     for k, v in self.table.items()))
         return self._chained
 
     def _entry_chained(self, key: Key, outs: Span) -> bool:
@@ -146,6 +149,45 @@ class TypeDABimodule:
     def __repr__(self):
         tag = self.label or f"{self.size} generators"
         return f"TypeDABimodule({tag}, K={self.arity_bound})"
+
+
+def sandwiched(A: DGAlgebra, i: int, b: int, j: int) -> bool:
+    """True when i . b . j = b: an output b (x) y at x is legal exactly
+    when this holds for i = iL(x), j = iL(y)."""
+    return A.product_elements(A.product(i, b), frozenset((j,))) \
+        == frozenset((b,))
+
+
+def checked_table(A1: DGAlgebra, A2: DGAlgebra,
+                  source_gens: tuple[BimodGenerator, ...],
+                  target_gens: tuple[BimodGenerator, ...],
+                  table: Mapping[Key, Iterable[tuple[int, int]]]
+                  ) -> dict[Key, Span]:
+    """Screen a table's indices and left-idempotent compatibility; returns
+    it with frozen keys and outputs and without zero entries."""
+    clean: dict[Key, Span] = {}
+    for (x, seq), outs in table.items():
+        if not (0 <= x < len(source_gens)):
+            raise UnknownSymbol(f"unknown source generator index {x}")
+        seq = tuple(seq)
+        for a in seq:
+            if not (0 <= a < A2.size):
+                raise UnknownSymbol(f"unknown right-algebra index {a}")
+        outs = frozenset(tuple(o) for o in outs)
+        for b, y in outs:
+            if not (0 <= b < A1.size):
+                raise UnknownSymbol(f"unknown left-algebra index {b}")
+            if not (0 <= y < len(target_gens)):
+                raise UnknownSymbol(f"unknown target generator index {y}")
+            if not sandwiched(A1, source_gens[x].left, b,
+                              target_gens[y].left):
+                raise IdempotentMismatch(
+                    f"output {A1.name(b)} : {target_gens[y].name} at "
+                    f"({source_gens[x].name}, arity {len(seq)}) violates "
+                    f"left-idempotent compatibility")
+        if outs:
+            clean[(x, seq)] = outs
+    return clean
 
 
 def make_bimodule(A1: DGAlgebra, A2: DGAlgebra,
@@ -169,32 +211,7 @@ def make_bimodule(A1: DGAlgebra, A2: DGAlgebra,
     names = [g.name for g in gen_tuple]
     if len(set(names)) != len(names):
         raise UnknownSymbol("duplicate generator name")
-
-    table: dict[Key, Span] = {}
-    for (x, seq), outs in d1.items():
-        if not (0 <= x < len(gen_tuple)):
-            raise UnknownSymbol(f"unknown generator index {x}")
-        seq = tuple(seq)
-        for a in seq:
-            if not (0 <= a < A2.size):
-                raise UnknownSymbol(f"unknown right-algebra index {a}")
-        outs = frozenset(tuple(o) for o in outs)
-        for b, y in outs:
-            if not (0 <= b < A1.size):
-                raise UnknownSymbol(f"unknown left-algebra index {b}")
-            if not (0 <= y < len(gen_tuple)):
-                raise UnknownSymbol(f"unknown generator index {y}")
-            ix = gen_tuple[x].left
-            iy = gen_tuple[y].left
-            sandwich = A1.product_elements(
-                A1.product(ix, b), frozenset((iy,)))
-            if sandwich != frozenset((b,)):
-                raise IdempotentMismatch(
-                    f"output {A1.name(b)} : {gen_tuple[y].name} at "
-                    f"({gen_tuple[x].name}, arity {len(seq)}) violates "
-                    f"left-idempotent compatibility")
-        if outs:
-            table[(x, seq)] = outs
+    table = checked_table(A1, A2, gen_tuple, gen_tuple, d1)
     return TypeDABimodule(A1, A2, gen_tuple, table, label=label)
 
 
@@ -340,8 +357,7 @@ def identity_bimodule(A: DGAlgebra, label: str = "") -> TypeDABimodule:
         i = A.left_idem[a]
         j = A.right_idem[a]
         # sanity: i.a.j = a in any idempotent-graded algebra
-        sandwich = A.product_elements(A.product(i, a), frozenset((j,)))
-        if sandwich != frozenset((a,)):
+        if not sandwiched(A, i, a, j):
             continue
         d1.setdefault((idem_pos[i], (a,)), set()).add((a, idem_pos[j]))
     return make_bimodule(A, A, gens, d1,

@@ -13,8 +13,9 @@ are excluded.  Its structure table feeds M's outputs into N:
 
 The i = 0 realization contributes N's input-free entries paired with y
 unchanged.  Chains longer than N's arity bound cannot hit N's table, so
-the sum is finite; a step budget additionally guards pathological tables
-(exceeding it raises NonConverging rather than hanging).
+the sum is finite and its evaluation always terminates.  An optional step
+budget caps the work per generator pair: exceeding it raises
+NonConverging.  Without one the evaluation runs to completion.
 
 Morphisms tensor one side at a time: F . I consumes the whole M-chain in
 a single application of F's table, and I . G routes the inputs through
@@ -27,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bimodules import Key, TypeDABimodule
+from .bimodules import DATable, Key, TypeDABimodule, make_bimodule
 from .errors import MiddleAlgebraMismatch, NonConverging
-from .morphisms import DAMorphism
+from .morphisms import DAMorphism, compose, make_morphism
 
 Pair = tuple[int, int]
 
@@ -44,10 +45,6 @@ class BoxGeneratorLabel:
         return f"{self.left_part}|{self.right_part}"
 
 
-def _default_budget(N: TypeDABimodule, M: TypeDABimodule) -> int:
-    return max(1, N.right_algebra.size * M.size * (N.arity_bound + 1))
-
-
 def _matched_pairs(N: TypeDABimodule, M: TypeDABimodule) -> list[Pair]:
     return [(i, j)
             for i in range(N.size) for j in range(M.size)
@@ -55,11 +52,11 @@ def _matched_pairs(N: TypeDABimodule, M: TypeDABimodule) -> list[Pair]:
 
 
 def _chain_states(M: TypeDABimodule, start: int, max_chain: int,
-                  budget: int, steps: list[int]):
+                  budget: int | None, steps: list[int]):
     """All (generator, consumed inputs, A2 chain) states reachable from
     start by applying M's table to consecutive chunks; includes the
     zero-application state.  Deterministic order; counts steps against
-    the budget."""
+    the budget when there is one."""
     states = [(start, (), ())]
     frontier = [(start, (), ())]
     while frontier:
@@ -70,10 +67,10 @@ def _chain_states(M: TypeDABimodule, start: int, max_chain: int,
             for chunk, outs in M.entries_by_generator.get(y, ()):
                 for c, y2 in sorted(outs):
                     steps[0] += 1
-                    if steps[0] > budget:
+                    if budget is not None and steps[0] > budget:
                         raise NonConverging(
-                            f"box evaluation exceeded {budget} steps; "
-                            "the interaction of the tables is unbounded")
+                            f"box evaluation exceeded its step budget of "
+                            f"{budget} for one generator pair")
                     state = (y2, seq + chunk, chain + (c,))
                     new.append(state)
         states.extend(new)
@@ -81,71 +78,48 @@ def _chain_states(M: TypeDABimodule, start: int, max_chain: int,
     return states
 
 
-def box_bimodules(N: TypeDABimodule, M: TypeDABimodule,
-                  step_budget: int | None = None,
-                  label: str = "") -> TypeDABimodule:
-    """The box tensor product of bimodules (see module docstring)."""
+def _box_left(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
+              M: TypeDABimodule, step_budget: int | None) -> dict[Key, set]:
+    """The table of T . I : (N . M) -> (N2 . M) for a table T from N to
+    N2; a bimodule's box structure map is the case T = N = N2."""
     if N.right_algebra is not M.left_algebra:
         raise MiddleAlgebraMismatch(
             "right algebra of the left factor differs from the left "
             "algebra of the right factor")
-    budget = _default_budget(N, M) if step_budget is None else step_budget
-    pairs = _matched_pairs(N, M)
-    pos = {p: k for k, p in enumerate(pairs)}
-    gens = [(BoxGeneratorLabel(N.gens[i].name, M.gens[j].name).name,
-             N.gens[i].left, M.gens[j].right) for i, j in pairs]
-
-    # outputs on unmatched pairs vanish: over the idempotent ground ring
-    # x' (x) y' is zero unless the inner idempotents agree
-    table: dict[Key, set] = {}
-    for i, j in pairs:
-        key_gen = pos[(i, j)]
-        steps = [0]
-        for y, seq, chain in _chain_states(M, j, N.arity_bound,
-                                           budget, steps):
-            for b, i2 in N.entry(i, chain):
-                out = pos.get((i2, y))
-                if out is None:
-                    continue
-                bucket = table.setdefault((key_gen, seq), set())
-                bucket ^= {(b, out)}
-
-    from .bimodules import make_bimodule
-    return make_bimodule(
-        N.left_algebra, M.right_algebra, gens,
-        {k: v for k, v in table.items() if v},
-        label=label or f"{N.label}.{M.label}")
-
-
-def box_morphism_left(F: DAMorphism, M: TypeDABimodule,
-                      step_budget: int | None = None) -> DAMorphism:
-    """F . I : (N . M) -> (N' . M) for F : N -> N'."""
-    N, N2 = F.source, F.target
-    if N.right_algebra is not M.left_algebra:
-        raise MiddleAlgebraMismatch(
-            "morphism algebras do not compose with the right factor")
-    source = box_bimodules(N, M, step_budget)
-    target = box_bimodules(N2, M, step_budget)
-    budget = (max(1, N.right_algebra.size * M.size * (F.arity_bound + 1))
-              if step_budget is None else step_budget)
     pos_s = {p: k for k, p in enumerate(_matched_pairs(N, M))}
     pos_t = {p: k for k, p in enumerate(_matched_pairs(N2, M))}
-
     table: dict[Key, set] = {}
     for (i, j), key in pos_s.items():
         steps = [0]
-        for y, seq, chain in _chain_states(M, j, F.arity_bound,
-                                           budget, steps):
-            for b, i2 in F.entry(i, chain):
+        for y, seq, chain in _chain_states(M, j, T.arity_bound,
+                                           step_budget, steps):
+            for b, i2 in T.entry(i, chain):
                 out = pos_t.get((i2, y))
                 if out is None:
                     continue  # zero over the idempotent ground ring
                 bucket = table.setdefault((key, seq), set())
                 bucket ^= {(b, out)}
+    return table
 
-    from .morphisms import make_morphism
-    return make_morphism(source, target,
-                         {k: v for k, v in table.items() if v},
+
+def box_bimodules(N: TypeDABimodule, M: TypeDABimodule,
+                  step_budget: int | None = None,
+                  label: str = "") -> TypeDABimodule:
+    """The box tensor product of bimodules (see module docstring)."""
+    table = _box_left(N, N, N, M, step_budget)
+    gens = [(BoxGeneratorLabel(N.gens[i].name, M.gens[j].name).name,
+             N.gens[i].left, M.gens[j].right)
+            for i, j in _matched_pairs(N, M)]
+    return make_bimodule(N.left_algebra, M.right_algebra, gens, table,
+                         label=label or f"{N.label}.{M.label}")
+
+
+def box_morphism_left(F: DAMorphism, M: TypeDABimodule,
+                      step_budget: int | None = None) -> DAMorphism:
+    """F . I : (N . M) -> (N' . M) for F : N -> N'."""
+    table = _box_left(F, F.source, F.target, M, step_budget)
+    return make_morphism(box_bimodules(F.source, M, step_budget),
+                         box_bimodules(F.target, M, step_budget), table,
                          label=f"{F.label}.id" if F.label else "")
 
 
@@ -158,24 +132,16 @@ def box_morphism_right(N: TypeDABimodule, G: DAMorphism,
             "left factor does not compose with the morphism algebras")
     source = box_bimodules(N, M, step_budget)
     target = box_bimodules(N, M2, step_budget)
-    budget = (max(1, N.right_algebra.size * (M.size + M2.size)
-                  * (N.arity_bound + 1))
-              if step_budget is None else step_budget)
     pos_s = {p: k for k, p in enumerate(_matched_pairs(N, M))}
     pos_t = {p: k for k, p in enumerate(_matched_pairs(N, M2))}
-    g_by_gen: dict[int, list] = {}
-    for (y, seq), outs in G.table.items():
-        g_by_gen.setdefault(y, []).append((seq, outs))
-    for v in g_by_gen.values():
-        v.sort()
 
     table: dict[Key, set] = {}
     for (i, j), key in pos_s.items():
         steps = [0]
         # M-iterates, one G application, then M'-iterates
         for y1, seq1, chain1 in _chain_states(M, j, max(N.arity_bound - 1, 0),
-                                              budget, steps):
-            for seq_g, outs_g in g_by_gen.get(y1, ()):
+                                              step_budget, steps):
+            for seq_g, outs_g in G.entries_by_generator.get(y1, ()):
                 for g, y2 in sorted(outs_g):
                     mid_chain = chain1 + (g,)
                     if len(mid_chain) > N.arity_bound:
@@ -183,7 +149,7 @@ def box_morphism_right(N: TypeDABimodule, G: DAMorphism,
                     for y3, seq3, chain3 in _chain_states(
                             M2, y2,
                             N.arity_bound - len(mid_chain),
-                            budget, steps):
+                            step_budget, steps):
                         chain = mid_chain + chain3
                         for b, i2 in N.entry(i, chain):
                             out = pos_t.get((i2, y3))
@@ -193,16 +159,13 @@ def box_morphism_right(N: TypeDABimodule, G: DAMorphism,
                                 (key, seq1 + seq_g + seq3), set())
                             bucket ^= {(b, out)}
 
-    from .morphisms import make_morphism
-    return make_morphism(source, target,
-                         {k: v for k, v in table.items() if v},
+    return make_morphism(source, target, table,
                          label=f"id.{G.label}" if G.label else "")
 
 
 def box_morphisms(F: DAMorphism, G: DAMorphism,
                   step_budget: int | None = None) -> DAMorphism:
     """F . G = (I . G) o (F . I)."""
-    from .morphisms import compose
     left = box_morphism_left(F, G.source, step_budget)
     right = box_morphism_right(F.target, G, step_budget)
     return compose(right, left)

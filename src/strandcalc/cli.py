@@ -1,8 +1,8 @@
 """Command-line driver.
 
 Every command runs against a document file and produces a deterministic
-report: identical inputs yield byte-identical output, whatever the thread
-count.  Exit codes follow a fixed contract:
+report: identical inputs yield byte-identical output.  Exit codes follow
+a fixed contract:
 
     0   the checked property holds (or the computation succeeded)
     1   the property fails, or no witness exists within the cap
@@ -92,8 +92,7 @@ def _cmd_algebra(doc, args) -> CommandResult:
             "basis": list(A.basis_names),
         }
         return CommandResult("pass", payload)
-    report = verify_dga(A, sample_budget=args.budget, seed=args.seed,
-                        threads=args.threads)
+    report = verify_dga(A, sample_budget=args.budget, seed=args.seed)
     payload = report.payload()
     payload["name"] = args.name
     return CommandResult("pass" if report.passed else "fail", payload)
@@ -264,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"),
                         default="text")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for batch verification")
+                        help="accepted and ignored; verification runs in "
+                             "one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pmc", help="check a pointed matched circle")

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import clf as clfmod
-from .bimodules import TypeDABimodule, make_bimodule
+from .bimodules import DATable, TypeDABimodule, make_bimodule
 from .circles import validation_report
 from .errors import (DocumentError, DuplicateName, ParseError,
                      StrandCalcError, UnresolvedReference)
@@ -252,21 +252,7 @@ def _parse_bimodule(doc: Document, cur: _Cursor, block) -> None:
             gen_pos[gname] = len(gens)
             gens.append((gname, left, right))
         elif line.try_literal("D1"):
-            xname = _gen_name(line)
-            if xname not in gen_pos:
-                raise line.error(f"unknown generator {xname!r}")
-            x = gen_pos[xname]
-            line.literal("[")
-            seq = []
-            while not line.try_literal("]"):
-                seq.append(_element(line, A2))
-            line.literal("=")
-            outs = _parse_outputs(line, A1, gen_pos)
-            key = (x, tuple(seq))
-            prev = entries.get(key, frozenset())
-            entries[key] = prev ^ frozenset(outs)
-            if not line.done():
-                raise line.error("trailing input after entry")
+            _parse_entry(line, A1, A2, gen_pos, gen_pos, entries)
         else:
             raise line.error("expected GEN or D1")
     try:
@@ -277,20 +263,34 @@ def _parse_bimodule(doc: Document, cur: _Cursor, block) -> None:
                         raw=(a1_name, a2_name)))
 
 
-def _parse_outputs(line: _Cursor, A1: DGAlgebra, gen_pos) -> list:
-    if line.try_literal("0"):
-        return []
-    outs = []
-    while True:
-        b = _element(line, A1)
-        line.literal(":")
-        gname = _gen_name(line)
-        if gname not in gen_pos:
-            raise line.error(f"unknown generator {gname!r}")
-        outs.append((b, gen_pos[gname]))
-        if not line.try_literal("+"):
-            break
-    return outs
+def _parse_entry(line: _Cursor, A1: DGAlgebra, A2: DGAlgebra,
+                 source_pos: dict[str, int], target_pos: dict[str, int],
+                 entries: dict) -> None:
+    """Parse `<gen> [<elem> ...] = <elem> : <gen> + ... | 0`, the body of
+    a D1 or F line, and add it to entries (repeated keys cancel)."""
+    xname = _gen_name(line)
+    if xname not in source_pos:
+        raise line.error(f"unknown source generator {xname!r}")
+    line.literal("[")
+    seq = []
+    while not line.try_literal("]"):
+        seq.append(_element(line, A2))
+    line.literal("=")
+    outs = set()
+    if not line.try_literal("0"):
+        while True:
+            b = _element(line, A1)
+            line.literal(":")
+            gname = _gen_name(line)
+            if gname not in target_pos:
+                raise line.error(f"unknown target generator {gname!r}")
+            outs.add((b, target_pos[gname]))
+            if not line.try_literal("+"):
+                break
+    if not line.done():
+        raise line.error("trailing input after entry")
+    key = (source_pos[xname], tuple(seq))
+    entries[key] = entries.get(key, frozenset()) ^ outs
 
 
 def _parse_morphism(doc: Document, cur: _Cursor, block) -> None:
@@ -307,21 +307,8 @@ def _parse_morphism(doc: Document, cur: _Cursor, block) -> None:
     for lineno, body in block or []:
         line = _Cursor(body.rstrip(";"), lineno)
         line.literal("F")
-        xname = _gen_name(line)
-        if xname not in gen_pos_m:
-            raise line.error(f"unknown source generator {xname!r}")
-        x = gen_pos_m[xname]
-        line.literal("[")
-        seq = []
-        while not line.try_literal("]"):
-            seq.append(_element(line, M.right_algebra))
-        line.literal("=")
-        outs = _parse_outputs(line, M.left_algebra, gen_pos_n)
-        key = (x, tuple(seq))
-        prev = entries.get(key, frozenset())
-        entries[key] = prev ^ frozenset(outs)
-        if not line.done():
-            raise line.error("trailing input after entry")
+        _parse_entry(line, M.left_algebra, M.right_algebra, gen_pos_m,
+                     gen_pos_n, entries)
     try:
         F = make_morphism(M, N, entries, label=name)
     except StrandCalcError as exc:
@@ -390,6 +377,20 @@ _HANDLERS = {
 
 # --- serialization -----------------------------------------------------------
 
+def _entry_lines(keyword: str, T: DATable, A1: DGAlgebra, A2: DGAlgebra,
+                 source_gens, target_gens) -> list[str]:
+    """The D1 or F lines of a table, in (generator, arity, inputs) order."""
+    lines = []
+    for (x, seq), outs in sorted(T.table.items(),
+                                 key=lambda kv: (kv[0][0], len(kv[0][1]),
+                                                 kv[0][1])):
+        inputs = " ".join(A2.name(a) for a in seq)
+        rhs = " + ".join(f"{A1.name(b)} : {target_gens[y].name}"
+                         for b, y in sorted(outs))
+        lines.append(f"  {keyword} {source_gens[x].name} [{inputs}] = {rhs}")
+    return lines
+
+
 def bimodule_text(name: str, M: TypeDABimodule,
                   a1_name: str, a2_name: str) -> str:
     """Emit a bimodule in its declaration form (round-trips exactly)."""
@@ -397,27 +398,17 @@ def bimodule_text(name: str, M: TypeDABimodule,
     lines = [f"BIMODULE {name} OVER {a1_name} {a2_name} {{"]
     for g in M.gens:
         lines.append(f"  GEN {g.name} L={A1.name(g.left)} R={A2.name(g.right)}")
-    for (x, seq), outs in sorted(M.d1.items(),
-                                 key=lambda kv: (kv[0][0], len(kv[0][1]),
-                                                 kv[0][1])):
-        inputs = " ".join(A2.name(a) for a in seq)
-        rhs = " + ".join(f"{A1.name(b)} : {M.gens[y].name}"
-                         for b, y in sorted(outs))
-        lines.append(f"  D1 {M.gens[x].name} [{inputs}] = {rhs}")
+    lines += _entry_lines("D1", M, A1, A2, M.gens, M.gens)
     lines.append("}")
     return "\n".join(lines)
 
 
 def morphism_text(name: str, F: DAMorphism,
                   m_name: str, n_name: str) -> str:
-    A1, A2 = F.source.left_algebra, F.source.right_algebra
+    """Emit a morphism in its declaration form (round-trips exactly)."""
     lines = [f"MORPHISM {name} FROM {m_name} TO {n_name} {{"]
-    for (x, seq), outs in sorted(F.table.items(),
-                                 key=lambda kv: (kv[0][0], len(kv[0][1]),
-                                                 kv[0][1])):
-        inputs = " ".join(A2.name(a) for a in seq)
-        rhs = " + ".join(f"{A1.name(b)} : {F.target.gens[y].name}"
-                         for b, y in sorted(outs))
-        lines.append(f"  F {F.source.gens[x].name} [{inputs}] = {rhs}")
+    lines += _entry_lines("F", F, F.source.left_algebra,
+                          F.source.right_algebra, F.source.gens,
+                          F.target.gens)
     lines.append("}")
     return "\n".join(lines)

@@ -117,17 +117,23 @@ def _row_masks(m: F2Matrix) -> list[int]:
     return masks
 
 
-def _eliminate(masks: list[int]) -> dict[int, int]:
+def _insert(pivots: dict[int, int], row: int) -> int:
+    """Reduce row against the pivots and store what remains under its
+    leading bit; returns that remainder, 0 when row was dependent."""
+    while row:
+        lead = row.bit_length() - 1
+        if lead not in pivots:
+            pivots[lead] = row
+            return row
+        row ^= pivots[lead]
+    return 0
+
+
+def _eliminate(masks: Iterable[int]) -> dict[int, int]:
     """Reduce rows into a dict keyed by leading bit position."""
     pivots: dict[int, int] = {}
     for row in masks:
-        while row:
-            lead = row.bit_length() - 1
-            if lead in pivots:
-                row ^= pivots[lead]
-            else:
-                pivots[lead] = row
-                break
+        _insert(pivots, row)
     return pivots
 
 
@@ -169,6 +175,18 @@ def kernel_basis(m: F2Matrix) -> list[F2Vector]:
     return basis
 
 
+def independent_modulo(m: F2Matrix,
+                       vectors: Iterable[F2Vector]) -> list[F2Vector]:
+    """Greedy choice: the vectors, in order, that lie outside the span of
+    m's columns and of the vectors kept before them."""
+    columns = [0] * m.cols
+    for r, c in m.entries:
+        columns[c] |= 1 << r
+    pivots = _eliminate(columns)
+    return [v for v in vectors
+            if _insert(pivots, sum(1 << i for i in v.support))]
+
+
 def solve(m: F2Matrix, target: F2Vector) -> F2Vector | None:
     """One solution of m.x = target, or None when the system is inconsistent.
 
@@ -185,15 +203,8 @@ def solve(m: F2Matrix, target: F2Vector) -> F2Vector | None:
            for r, mask in enumerate(masks)]
     pivots: dict[int, int] = {}
     for row in aug:
-        while row:
-            lead = row.bit_length() - 1
-            if lead == 0:
-                return None  # 0 = 1
-            if lead in pivots:
-                row ^= pivots[lead]
-            else:
-                pivots[lead] = row
-                break
+        if _insert(pivots, row) == 1:
+            return None  # 0 = 1
     _back_reduce(pivots)
     support = set()
     for lead, row in pivots.items():

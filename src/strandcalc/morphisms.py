@@ -38,8 +38,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import f2
-from .bimodules import Key, Span, TypeDABimodule
-from .errors import BimoduleMismatch, IdempotentMismatch, NotClosed, UnknownSymbol
+from .bimodules import (DATable, Key, Span, TypeDABimodule, checked_table,
+                        sandwiched)
+from .errors import BimoduleMismatch, NotClosed
 
 Coord = tuple[int, tuple[int, ...], tuple[int, int]]
 
@@ -58,19 +59,14 @@ def same_shape(P: TypeDABimodule, Q: TypeDABimodule) -> bool:
             and P.d1 == Q.d1)
 
 
-class DAMorphism:
+class DAMorphism(DATable):
     """A morphism-shaped table from M to N; build with make_morphism."""
 
     def __init__(self, source: TypeDABimodule, target: TypeDABimodule,
                  table: Mapping[Key, Span], label: str = ""):
+        super().__init__(table, label)
         self.source = source
         self.target = target
-        self.table = {k: v for k, v in table.items() if v}
-        self.label = label
-        self.arity_bound = max((len(s) for _, s in self.table), default=0)
-
-    def entry(self, x: int, seq: tuple[int, ...]) -> Span:
-        return self.table.get((x, seq), frozenset())
 
     def __add__(self, other: "DAMorphism") -> "DAMorphism":
         if not (same_shape(self.source, other.source)
@@ -101,38 +97,9 @@ def make_morphism(M: TypeDABimodule, N: TypeDABimodule,
     if M.left_algebra is not N.left_algebra or \
             M.right_algebra is not N.right_algebra:
         raise BimoduleMismatch("source and target live over different algebras")
-    A1, A2 = M.left_algebra, M.right_algebra
-    clean: dict[Key, Span] = {}
-    for (x, seq), outs in table.items():
-        if not (0 <= x < M.size):
-            raise UnknownSymbol(f"unknown source generator index {x}")
-        seq = tuple(seq)
-        for a in seq:
-            if not (0 <= a < A2.size):
-                raise UnknownSymbol(f"unknown right-algebra index {a}")
-        outs = frozenset(tuple(o) for o in outs)
-        for b, y in outs:
-            if not (0 <= b < A1.size):
-                raise UnknownSymbol(f"unknown left-algebra index {b}")
-            if not (0 <= y < N.size):
-                raise UnknownSymbol(f"unknown target generator index {y}")
-            if not _compatible(M, N, x, b, y):
-                raise IdempotentMismatch(
-                    f"output {A1.name(b)} : {N.gens[y].name} at "
-                    f"({M.gens[x].name}, arity {len(seq)}) violates "
-                    f"left-idempotent compatibility")
-        if outs:
-            clean[(x, seq)] = outs
+    clean = checked_table(M.left_algebra, M.right_algebra, M.gens, N.gens,
+                          table)
     return DAMorphism(M, N, clean, label=label)
-
-
-def _compatible(M: TypeDABimodule, N: TypeDABimodule,
-                x: int, b: int, y: int) -> bool:
-    A1 = M.left_algebra
-    ix, iy = M.gens[x].left, N.gens[y].left
-    one = frozenset((b,))
-    return (A1.product_elements(A1.product(ix, b), frozenset((iy,)))
-            == one)
 
 
 def zero_morphism(M: TypeDABimodule, N: TypeDABimodule) -> DAMorphism:
@@ -219,12 +186,10 @@ def compose(G: DAMorphism, F: DAMorphism) -> DAMorphism:
         raise BimoduleMismatch("target of F differs from source of G")
     A1 = F.source.left_algebra
     acc: dict[Key, set] = {}
-    g_by_gen: dict[int, list] = {}
-    for (y, seq2), outs in G.table.items():
-        g_by_gen.setdefault(y, []).append((seq2, outs))
+    g_entries = G.entries_by_generator
     for (x, seq1), outs1 in F.table.items():
         for b, y in outs1:
-            for seq2, outs2 in g_by_gen.get(y, ()):
+            for seq2, outs2 in g_entries.get(y, ()):
                 for c, z in outs2:
                     for t in A1.product(b, c):
                         bucket = acc.setdefault((x, seq1 + seq2), set())
@@ -280,8 +245,10 @@ def _candidate_unknowns(M: TypeDABimodule, N: TypeDABimodule,
     for k in range(len(seq) - 1):
         for w in A2.product(seq[k], seq[k + 1]):
             out.append((x, seq[:k] + (w,) + seq[k + 2:], (t, z)))
+    gens_M, gens_N = M.gens, N.gens
     return [(x2, s2, (b2, y2)) for x2, s2, (b2, y2) in out
-            if len(s2) <= cap and _compatible(M, N, x2, b2, y2)]
+            if len(s2) <= cap
+            and sandwiched(A1, gens_M[x2].left, b2, gens_N[y2].left)]
 
 
 def is_homotopic(F: DAMorphism, G: DAMorphism,
@@ -361,36 +328,7 @@ def _homology_data(M: TypeDABimodule):
     """
     from .bimodules import arity_zero_complex
     basis, boundary = arity_zero_complex(M)
-    kernel = f2.kernel_basis(boundary)
-    n = len(basis)
-    pivots: dict[int, int] = {}
-
-    def reduce(vec: frozenset) -> int:
-        row = 0
-        for i in vec:
-            row |= 1 << (n - i)
-        while row:
-            lead = row.bit_length() - 1
-            if lead in pivots:
-                row ^= pivots[lead]
-            else:
-                return row
-        return 0
-
-    def insert(row: int) -> None:
-        pivots[row.bit_length() - 1] = row
-
-    for col in range(n):
-        column = frozenset(r for r, c in boundary.entries if c == col)
-        row = reduce(column)
-        if row:
-            insert(row)
-    reps = []
-    for vec in kernel:
-        row = reduce(vec.support)
-        if row:
-            insert(row)
-            reps.append(vec)
+    reps = f2.independent_modulo(boundary, f2.kernel_basis(boundary))
     return basis, boundary, reps
 
 
@@ -421,16 +359,10 @@ def induced_on_homology(F: DAMorphism) -> f2.F2Matrix:
     # express each image in homology coordinates: solve [reps | boundary] u = w
     h_N = len(reps_N)
     n_N = len(basis_N)
-    cols = []
-    for r in reps_N:
-        cols.append(r.support)
-    boundary_cols = []
-    for c in range(n_N):
-        boundary_cols.append(frozenset(
-            r for r, cc in boundary_N.entries if cc == c))
-    cols.extend(boundary_cols)
-    entries = frozenset((r, j) for j, col in enumerate(cols) for r in col)
-    system = f2.F2Matrix(n_N, len(cols), entries)
+    entries = frozenset(
+        [(r, j) for j, rep in enumerate(reps_N) for r in rep.support]
+        + [(r, h_N + c) for r, c in boundary_N.entries])
+    system = f2.F2Matrix(n_N, h_N + n_N, entries)
 
     out_entries = set()
     for j, rep in enumerate(reps_M):

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -529,17 +528,8 @@ class DGAReport:
         }
 
 
-def _run_chunks(items, worker, threads):
-    if threads <= 1 or len(items) < 2 * threads:
-        return [worker(items)]
-    size = (len(items) + threads - 1) // threads
-    chunks = [items[k:k + size] for k in range(0, len(items), size)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, chunks))
-
-
 def verify_dga(A: DGAlgebra, sample_budget: int = 10 ** 6,
-               seed: int = 0, threads: int = 1) -> DGAReport:
+               seed: int = 0) -> DGAReport:
     """Check d^2 = 0, Leibniz, associativity and the idempotent axioms.
 
     d^2 and the idempotent axioms are always exhaustive.  Leibniz runs over
@@ -551,15 +541,7 @@ def verify_dga(A: DGAlgebra, sample_budget: int = 10 ** 6,
     n = A.size
     checks = []
 
-    def d2_worker(indices):
-        fails = []
-        for i in indices:
-            if A.d_element(A.d(i)):
-                fails.append((A.name(i),))
-        return fails
-
-    fails = [w for part in _run_chunks(range(n), d2_worker, threads)
-             for w in part]
+    fails = [(A.name(i),) for i in range(n) if A.d_element(A.d(i))]
     checks.append(CheckResult("d_squared", not fails, True, n,
                               tuple(sorted(fails))))
 
@@ -571,18 +553,13 @@ def verify_dga(A: DGAlgebra, sample_budget: int = 10 ** 6,
         pairs = [(rng.randrange(n), rng.randrange(n))
                  for _ in range(sample_budget)]
 
-    def leibniz_worker(items):
-        fails = []
-        for i, j in items:
-            lhs = A.d_element(A.product(i, j))
-            rhs = A.product_elements(A.d(i), frozenset((j,)))
-            rhs ^= A.product_elements(frozenset((i,)), A.d(j))
-            if lhs != rhs:
-                fails.append((A.name(i), A.name(j)))
-        return fails
-
-    fails = [w for part in _run_chunks(pairs, leibniz_worker, threads)
-             for w in part]
+    fails = []
+    for i, j in pairs:
+        lhs = A.d_element(A.product(i, j))
+        rhs = A.product_elements(A.d(i), frozenset((j,)))
+        rhs ^= A.product_elements(frozenset((i,)), A.d(j))
+        if lhs != rhs:
+            fails.append((A.name(i), A.name(j)))
     checks.append(CheckResult("leibniz", not fails, exhaustive_pairs,
                               len(pairs), tuple(sorted(set(fails)))))
 
@@ -595,17 +572,12 @@ def verify_dga(A: DGAlgebra, sample_budget: int = 10 ** 6,
         triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n))
                    for _ in range(sample_budget)]
 
-    def assoc_worker(items):
-        fails = []
-        for i, j, k in items:
-            lhs = A.product_elements(A.product(i, j), frozenset((k,)))
-            rhs = A.product_elements(frozenset((i,)), A.product(j, k))
-            if lhs != rhs:
-                fails.append((A.name(i), A.name(j), A.name(k)))
-        return fails
-
-    fails = [w for part in _run_chunks(triples, assoc_worker, threads)
-             for w in part]
+    fails = []
+    for i, j, k in triples:
+        lhs = A.product_elements(A.product(i, j), frozenset((k,)))
+        rhs = A.product_elements(frozenset((i,)), A.product(j, k))
+        if lhs != rhs:
+            fails.append((A.name(i), A.name(j), A.name(k)))
     checks.append(CheckResult("associativity", not fails, exhaustive_triples,
                               len(triples), tuple(sorted(set(fails)))))
 

@@ -14,7 +14,8 @@ from random import Random
 import numpy as np
 
 from strandcalc import f2
-from strandcalc.morphisms import DAMorphism, _compatible
+from strandcalc.bimodules import sandwiched
+from strandcalc.morphisms import DAMorphism
 
 # --- dense GF(2) oracle (numpy) -------------------------------------------
 
@@ -209,7 +210,7 @@ def random_unchained_table(rng: Random, M, N, cap: int,
         seq = tuple(rng.randrange(A2.size) for _ in range(k))
         b = rng.randrange(A1.size)
         y = rng.randrange(N.size)
-        if not _compatible(M, N, x, b, y):
+        if not sandwiched(A1, M.gens[x].left, b, N.gens[y].left):
             continue
         table.setdefault((x, seq), set())
         table[(x, seq)] ^= {(b, y)}

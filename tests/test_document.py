@@ -4,7 +4,8 @@ import pytest
 
 from strandcalc.document import (bimodule_text, morphism_text,
                                  parse_document)
-from strandcalc.errors import DuplicateName, ParseError, UnresolvedReference
+from strandcalc.errors import (DocumentError, DuplicateName, ParseError,
+                               UnresolvedReference)
 from strandcalc.morphisms import compose, same_shape
 from strandcalc.boxes import box_bimodules
 
@@ -21,6 +22,30 @@ BIMODULE M OVER A A {
   D1 u [] = h(1 3) : v
 }
 """
+
+MORPHISM = BIMODULE + """
+MORPHISM F FROM M TO M {
+  F u [] = h(1 3) : v
+}
+"""
+
+# (document, one entry line in it) for each kind of table block
+ENTRY_BLOCKS = {
+    "D1": (BIMODULE, "  D1 u [] = h(1 3) : v"),
+    "F": (MORPHISM, "  F u [] = h(1 3) : v"),
+}
+
+# (fault, text to replace in the entry line, replacement)
+BAD_ENTRIES = [
+    ("unknown source generator", "u [", "w ["),
+    ("unknown target generator", ": v", ": w"),
+    ("unknown element", "h(1 3) :", "h(1 5) :"),
+    ("trailing input", ": v", ": v extra"),
+]
+
+
+def _line_of(text: str, line: str) -> int:
+    return text.splitlines().index(line) + 1
 
 
 class TestParse:
@@ -76,12 +101,36 @@ BIMODULE M OVER A A {
         doc = parse_document(text)
         assert doc.get("T", "pmc").valid
 
-    def test_repeated_entries_cancel(self):
-        text = BIMODULE.replace(
-            "  D1 u [] = h(1 3) : v\n",
-            "  D1 u [] = h(1 3) : v\n  D1 u [] = h(1 3) : v\n")
-        doc = parse_document(text)
-        assert not doc.get("M", "bimodule").d1
+    @pytest.mark.parametrize("keyword", sorted(ENTRY_BLOCKS))
+    @pytest.mark.parametrize("fault,old,new", BAD_ENTRIES,
+                             ids=[b[0] for b in BAD_ENTRIES])
+    def test_bad_entry_located(self, keyword, fault, old, new):
+        text, entry = ENTRY_BLOCKS[keyword]
+        with pytest.raises(ParseError) as info:
+            parse_document(text.replace(entry, entry.replace(old, new)))
+        assert info.value.line == _line_of(text, entry)
+
+    @pytest.mark.parametrize("keyword,kind", [("D1", "bimodule"),
+                                              ("F", "morphism")])
+    def test_repeated_entries_cancel(self, keyword, kind):
+        text, entry = ENTRY_BLOCKS[keyword]
+        doc = parse_document(text.replace(entry, entry + "\n" + entry))
+        name = "M" if kind == "bimodule" else "F"
+        assert not doc.get(name, kind).table
+
+    @pytest.mark.parametrize("keyword,header", [
+        ("D1", "BIMODULE M OVER A A {"),
+        ("F", "MORPHISM F FROM M TO M {")])
+    def test_idempotent_mismatch_located_at_block(self, keyword, header):
+        # h(1 3) . h(2 4) = 0, so h(2 4) is no output at u
+        text, entry = ENTRY_BLOCKS[keyword]
+        with pytest.raises(DocumentError) as info:
+            parse_document(text.replace(entry,
+                                        entry.replace("h(1 3) :",
+                                                      "h(2 4) :")))
+        assert type(info.value) is DocumentError
+        assert "left-idempotent compatibility" in str(info.value)
+        assert info.value.line == _line_of(text, header)
 
     def test_clf_and_assign(self):
         text = BIMODULE + """

@@ -1,8 +1,11 @@
 """Cross-genus coverage: the machinery beyond the torus circle."""
 
+from strandcalc import clf
 from strandcalc.bimodules import check_structure, homology, identity_bimodule
 from strandcalc.circles import reverse, split_circle, torus_circle
-from strandcalc.morphisms import identity_morphism, is_closed, same_shape
+from strandcalc.morphisms import (identity_morphism, is_closed,
+                                  make_morphism, morphism_differential,
+                                  same_shape)
 from strandcalc.boxes import box_bimodules
 from strandcalc.strands import build_dga, verify_dga
 
@@ -42,3 +45,24 @@ class TestGenus2Bimodules:
         _, boundary = arity_zero_complex(I2)
         assert homology(I2) == f2.homology_dim(boundary, boundary)
         assert homology(box_bimodules(I2, I2)) == homology(I2)
+
+
+class TestGenus2Evaluation:
+    def test_four_critical_leaves_evaluate_closed(self):
+        # Every letter goes to I2 and every critical leaf to ID + d(H) with
+        # H(x, []) = x's own idempotent at x = h(1 3)h(5 7).  Boxing the
+        # evaluated pieces takes 366,743 chain steps for one generator
+        # pair: finite work, which box evaluation must finish by default.
+        x = I2.gen_index("h(1 3)h(5 7)")
+        H = make_morphism(I2, I2, {(x, ()): [(A2.index("h(1 3)h(5 7)"), x)]})
+        crit = identity_morphism(I2) + morphism_differential(H)
+        expr = clf.parse_expression(
+            "H(H(V(CRIT(fl=a, fr=a, vc=e@z), "
+            "CRIT(fl=aT[e@z]a, fr=e, vc=e@z)), "
+            "CRIT(fl=b, fr=e, vc=e@y)), "
+            "V(H(ID(e), CRIT(fl=a, fr=b, vc=e@z)), ID(aT[e@z]b)))")
+        assign = clf.CLFAssignment(A2, default_letter=I2, default_crit=crit)
+        F = clf.evaluate(expr, assign)
+        assert F.arity_bound == 4
+        assert len(F.table) == 202
+        assert is_closed(F)

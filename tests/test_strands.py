@@ -153,12 +153,6 @@ class TestVerifyDGAFailures:
         assert not check.passed
         assert ("x",) in check.witnesses
 
-    def test_threads_agree(self):
-        A = build_dga(T)
-        single = verify_dga(A, 10 ** 4, threads=1)
-        multi = verify_dga(A, 10 ** 4, threads=4)
-        assert single.payload() == multi.payload()
-
 
 class TestNames:
     def test_round_trip(self):
