@@ -267,7 +267,7 @@ def _parse_entry(line: _Cursor, A1: DGAlgebra, A2: DGAlgebra,
                  source_pos: dict[str, int], target_pos: dict[str, int],
                  entries: dict) -> None:
     """Parse `<gen> [<elem> ...] = <elem> : <gen> + ... | 0`, the body of
-    a D1 or F line, and add it to entries (repeated keys cancel)."""
+    a D1 or F line, and add it to entries (repeats cancel mod 2)."""
     xname = _gen_name(line)
     if xname not in source_pos:
         raise line.error(f"unknown source generator {xname!r}")
@@ -284,7 +284,7 @@ def _parse_entry(line: _Cursor, A1: DGAlgebra, A2: DGAlgebra,
             gname = _gen_name(line)
             if gname not in target_pos:
                 raise line.error(f"unknown target generator {gname!r}")
-            outs.add((b, target_pos[gname]))
+            outs ^= {(b, target_pos[gname])}
             if not line.try_literal("+"):
                 break
     if not line.done():

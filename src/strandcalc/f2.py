@@ -4,8 +4,8 @@ Vectors are finite sets of basis indices and addition is symmetric
 difference; matrices are sets of (row, col) positions.  For elimination,
 rows are packed into Python integers used as bit vectors (column j sits at
 bit ``cols - j`` so that scanning leading bits visits columns left to
-right), which keeps Gaussian elimination on machine words without any
-numeric dependency.
+right, and bit 0 stays free for an augmented column), which keeps
+Gaussian elimination on machine words without any numeric dependency.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -137,14 +137,17 @@ def _eliminate(masks: Iterable[int]) -> dict[int, int]:
     return pivots
 
 
-def _back_reduce(pivots: dict[int, int]) -> dict[int, int]:
-    """Clear every pivot column from the other rows (reduced echelon form)."""
-    for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
-        for other in sorted(pivots, reverse=True):
-            if other > lead and pivots[other] & (1 << lead):
-                pivots[other] ^= row
-    return pivots
+def _back_substitute(pivots: dict[int, int], x: int) -> int:
+    """Set the bit of each pivot in x, lowest leading bit first, so that
+    every pivot row meets x in an even number of bits.
+
+    A row's bits below its leading bit belong to pivots already settled or
+    to columns fixed by the caller, so one linear pass settles them all.
+    """
+    for lead in sorted(pivots):
+        if (pivots[lead] & x).bit_count() & 1:
+            x |= 1 << lead
+    return x
 
 
 def rank(m: F2Matrix) -> int:
@@ -156,22 +159,20 @@ def kernel_basis(m: F2Matrix) -> list[F2Vector]:
     """A basis of the right kernel, one vector per pivot-free column.
 
     The output is deterministic: vectors are listed by increasing free
-    column index, and each vector is supported on its free column plus the
-    pivot columns needed to cancel it.
+    column index.  Each vector sets its own free column, keeps the other
+    free columns zero and back-substitutes the pivot columns in one linear
+    pass over the echelon rows; that is the unique such kernel vector, so
+    it equals the one read off the reduced echelon form.
     """
     w = m.cols
-    pivots = _back_reduce(_eliminate(_row_masks(m)))
-    pivot_cols = {w - lead: row for lead, row in pivots.items()}
+    pivots = _eliminate(_row_masks(m))
     basis = []
-    for c in range(m.cols):
-        if c in pivot_cols:
+    for c in range(w):
+        if w - c in pivots:
             continue
-        support = {c}
-        bit = 1 << (w - c)
-        for pc, row in pivot_cols.items():
-            if row & bit:
-                support.add(pc)
-        basis.append(F2Vector(frozenset(support)))
+        x = _back_substitute(pivots, 1 << (w - c))
+        basis.append(F2Vector(frozenset(
+            [c] + [w - lead for lead in pivots if x >> lead & 1])))
     return basis
 
 
@@ -191,26 +192,24 @@ def solve(m: F2Matrix, target: F2Vector) -> F2Vector | None:
     """One solution of m.x = target, or None when the system is inconsistent.
 
     Inconsistency is decided exactly (a row reducing to the bare augmented
-    bit); it is an outcome, not a fault.  Free variables are set to zero,
-    so the returned solution is deterministic.
+    bit); it is an outcome, not a fault.  Free variables are set to zero
+    and the pivot variables are back-substituted in one linear pass over
+    the echelon rows, so the returned solution is the unique one with zero
+    free variables: deterministic, and equal to the reduced echelon form's.
     """
     if any(i >= m.rows for i in target.support):
         raise ValueError("target support exceeds row count")
     w = m.cols
-    masks = _row_masks(m)
-    # augmented bit lives at position 0, below every column bit
-    aug = [(mask << 1) | (1 if r in target.support else 0)
-           for r, mask in enumerate(masks)]
+    # the augmented bit lives at position 0, below every column bit
+    aug = _row_masks(m)
+    for r in target.support:
+        aug[r] |= 1
     pivots: dict[int, int] = {}
     for row in aug:
         if _insert(pivots, row) == 1:
             return None  # 0 = 1
-    _back_reduce(pivots)
-    support = set()
-    for lead, row in pivots.items():
-        if row & 1:
-            support.add(w - (lead - 1))
-    return F2Vector(frozenset(support))
+    x = _back_substitute(pivots, 1)
+    return F2Vector(frozenset(w - lead for lead in pivots if x >> lead & 1))
 
 
 def homology_dim(d_in: F2Matrix, d_out: F2Matrix) -> int:

@@ -86,6 +86,57 @@ def random_complex(rng: Random, n: int):
     return d_in, d_out
 
 
+# --- reduced-echelon reference for f2.solve and f2.kernel_basis ----------
+# Bit-vector Gauss-Jordan elimination: forward elimination, then every
+# pivot column cleared from every other row.  Free variables are zero, so
+# f2's outputs must equal these exactly, support for support.
+
+
+def _ref_masks(m: f2.F2Matrix, shift: int) -> list[int]:
+    masks = [0] * m.rows
+    for r, c in m.entries:
+        masks[r] |= 1 << (m.cols - c + shift)
+    return masks
+
+
+def _ref_rref(masks: list[int]) -> dict[int, int]:
+    pivots: dict[int, int] = {}
+    for row in masks:
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
+    for lead in sorted(pivots, reverse=True):
+        for other in pivots:
+            if other > lead and pivots[other] >> lead & 1:
+                pivots[other] ^= pivots[lead]
+    return pivots
+
+
+def ref_solve(m: f2.F2Matrix, target: f2.F2Vector) -> f2.F2Vector | None:
+    """The solution with zero free variables, or None when inconsistent."""
+    aug = [mask | (1 if r in target.support else 0)
+           for r, mask in enumerate(_ref_masks(m, 1))]
+    pivots = _ref_rref(aug)
+    if 0 in pivots:
+        return None  # a row reduced to 0 = 1
+    return f2.F2Vector(frozenset(m.cols - (lead - 1)
+                                 for lead, row in pivots.items() if row & 1))
+
+
+def ref_kernel_basis(m: f2.F2Matrix) -> list[f2.F2Vector]:
+    """One kernel vector per free column, by increasing free column."""
+    w = m.cols
+    pivot_cols = {w - lead: row
+                  for lead, row in _ref_rref(_ref_masks(m, 0)).items()}
+    return [f2.F2Vector(frozenset(
+                {c} | {pc for pc, row in pivot_cols.items()
+                       if row >> (w - c) & 1}))
+            for c in range(w) if c not in pivot_cols]
+
+
 # --- strand diagram oracle --------------------------------------------------
 
 
@@ -161,19 +212,21 @@ def chained_coords(M, N, cap):
     by_source: dict[int, list[int]] = {}
     for a in range(A2.size):
         by_source.setdefault(A2.left_idem[a], []).append(a)
+    # outputs (b, y) by (left idempotent of x, right idempotent of y)
+    outputs: dict = {}
+    for b in range(A1.size):
+        for y in range(N.size):
+            if N.gens[y].left == A1.right_idem[b]:
+                outputs.setdefault((A1.left_idem[b], N.gens[y].right),
+                                   []).append((b, y))
     coords = []
     for x in range(M.size):
         frontier = [((), M.gens[x].right)]
         for k in range(cap + 1):
             nxt = []
             for seq, state in frontier:
-                for b in range(A1.size):
-                    if A1.left_idem[b] != M.gens[x].left:
-                        continue
-                    for y in range(N.size):
-                        if (N.gens[y].left == A1.right_idem[b]
-                                and N.gens[y].right == state):
-                            coords.append((x, seq, (b, y)))
+                for out in outputs.get((M.gens[x].left, state), ()):
+                    coords.append((x, seq, out))
                 if k < cap:
                     for a in by_source.get(state, ()):
                         nxt.append((seq + (a,), A2.right_idem[a]))

@@ -118,6 +118,17 @@ BIMODULE M OVER A A {
         name = "M" if kind == "bimodule" else "F"
         assert not doc.get(name, kind).table
 
+    @pytest.mark.parametrize("keyword,kind", [("D1", "bimodule"),
+                                              ("F", "morphism")])
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_repeated_terms_on_one_line_cancel(self, keyword, kind, copies):
+        text, entry = ENTRY_BLOCKS[keyword]
+        doc = parse_document(text.replace(
+            entry, entry + " + h(1 3) : v" * (copies - 1)))
+        name = "M" if kind == "bimodule" else "F"
+        single = parse_document(text).get(name, kind).table
+        assert doc.get(name, kind).table == (single if copies % 2 else {})
+
     @pytest.mark.parametrize("keyword,header", [
         ("D1", "BIMODULE M OVER A A {"),
         ("F", "MORPHISM F FROM M TO M {")])

@@ -11,7 +11,7 @@ from strandcalc import f2
 from strandcalc.errors import NotAComplex
 
 from helpers import dense, dense_rank, dense_solvable, random_complex, \
-    random_matrix
+    random_matrix, ref_kernel_basis, ref_solve
 
 
 def mat(rows, cols, entries):
@@ -96,6 +96,41 @@ class TestSolve:
             assert (x is not None) == dense_solvable(dense(m), bd)
             if x is not None:
                 assert m.apply(x) == b
+
+
+class TestReferenceIdentity:
+    """solve and kernel_basis return exactly the reduced echelon form's
+    vectors, not merely some solution: witnesses depend on it."""
+
+    def test_matches_reduced_echelon(self):
+        rng = Random(6)
+        seen = {"no rows": 0, "no cols": 0, "inconsistent": 0,
+                "rank-deficient": 0, "wide": 0}
+        for i in range(1200):
+            # every tenth system is wider than one machine word
+            cols = rng.randrange(65, 90) if i % 10 == 0 else rng.randrange(10)
+            rows = rng.randrange(90 if i % 10 == 0 else 10)
+            m = random_matrix(rng, rows, cols, rng.choice((0.1, 0.3, 0.6)))
+            if rng.random() < 0.5:
+                b = m.apply(f2.F2Vector(frozenset(
+                    c for c in range(cols) if rng.random() < 0.5)))
+            else:
+                b = f2.F2Vector(frozenset(
+                    r for r in range(rows) if rng.random() < 0.5))
+            x, expect = f2.solve(m, b), ref_solve(m, b)
+            if expect is None:
+                assert x is None
+            else:
+                assert x is not None and x.support == expect.support
+            basis = f2.kernel_basis(m)
+            assert ([v.support for v in basis]
+                    == [v.support for v in ref_kernel_basis(m)])
+            seen["no rows"] += rows == 0
+            seen["no cols"] += cols == 0
+            seen["inconsistent"] += expect is None
+            seen["rank-deficient"] += 0 < len(basis) < cols
+            seen["wide"] += cols > 64
+        assert min(seen.values()) >= 20, seen
 
 
 class TestHomology:

@@ -1,13 +1,17 @@
 """Cross-genus coverage: the machinery beyond the torus circle."""
 
+from random import Random
+
 from strandcalc import clf
 from strandcalc.bimodules import check_structure, homology, identity_bimodule
 from strandcalc.circles import reverse, split_circle, torus_circle
-from strandcalc.morphisms import (identity_morphism, is_closed,
-                                  make_morphism, morphism_differential,
-                                  same_shape)
+from strandcalc.morphisms import (HomotopyWitness, identity_morphism,
+                                  is_closed, is_homotopic, make_morphism,
+                                  morphism_differential, same_shape)
 from strandcalc.boxes import box_bimodules
 from strandcalc.strands import build_dga, verify_dga
+
+from helpers import random_chained_table
 
 A2 = build_dga(split_circle(2), label="A2")
 I2 = identity_bimodule(A2, label="I2")
@@ -66,3 +70,16 @@ class TestGenus2Evaluation:
         assert F.arity_bound == 4
         assert len(F.table) == 202
         assert is_closed(F)
+
+
+class TestGenus2Homotopy:
+    def test_cap2_search_finds_witness(self):
+        # ID against ID + dR for a random arity-2 table R: the search solves
+        # one 281,884 x 21,720 system with 500,668 nonzeros.
+        ID = identity_morphism(I2)
+        G = ID + morphism_differential(
+            random_chained_table(Random(5), I2, I2, 2, 4))
+        result = is_homotopic(ID, G, 2)
+        assert isinstance(result, HomotopyWitness)
+        assert morphism_differential(result.h).table == (ID + G).table
+        assert len(result.h.table) == 37
