@@ -158,6 +158,16 @@ def sandwiched(A: DGAlgebra, i: int, b: int, j: int) -> bool:
         == frozenset((b,))
 
 
+def named_entry(M: TypeDABimodule, N: TypeDABimodule, x: int,
+                seq: tuple[int, ...], outs: Iterable) -> tuple:
+    """An entry (x, seq) -> outs of a table from M to N, by name: the
+    generator, the input names and the sorted terms `b : y`."""
+    A1 = M.left_algebra
+    return (M.gens[x].name, tuple(M.right_algebra.name(a) for a in seq),
+            tuple(sorted(f"{A1.name(b)} : {N.gens[y].name}"
+                         for b, y in outs)))
+
+
 def checked_table(A1: DGAlgebra, A2: DGAlgebra,
                   source_gens: tuple[BimodGenerator, ...],
                   target_gens: tuple[BimodGenerator, ...],
@@ -336,13 +346,7 @@ def check_structure(M: TypeDABimodule,
     witness = None
     if failures:
         _, x, seq, defect = min(failures)
-        A1 = M.left_algebra
-        witness = (
-            M.gens[x].name,
-            tuple(M.right_algebra.name(a) for a in seq),
-            tuple(sorted(f"{A1.name(b)} : {M.gens[y].name}"
-                         for b, y in defect)),
-        )
+        witness = named_entry(M, M, x, seq, defect)
     return StructureReport(M.label, not failures, bound, complete,
                            chained, tested, witness)
 

@@ -78,21 +78,39 @@ def _chain_states(M: TypeDABimodule, start: int, max_chain: int,
     return states
 
 
-def _box_left(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
-              M: TypeDABimodule, step_budget: int | None) -> dict[Key, set]:
-    """The table of T . I : (N . M) -> (N2 . M) for a table T from N to
-    N2; a bimodule's box structure map is the case T = N = N2."""
+def _morphism_chain_states(G: DAMorphism, start: int, max_chain: int,
+                           budget: int | None, steps: list[int]):
+    """Like _chain_states for I . G: M-iterates, exactly one application
+    of G : M -> M', then M'-iterates."""
+    for y1, seq1, chain1 in _chain_states(G.source, start,
+                                          max(max_chain - 1, 0), budget,
+                                          steps):
+        for seq_g, outs_g in G.entries_by_generator.get(y1, ()):
+            for g, y2 in sorted(outs_g):
+                mid_chain = chain1 + (g,)
+                if len(mid_chain) > max_chain:
+                    continue
+                for y3, seq3, chain3 in _chain_states(
+                        G.target, y2, max_chain - len(mid_chain), budget,
+                        steps):
+                    yield y3, seq1 + seq_g + seq3, mid_chain + chain3
+
+
+def _box_table(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
+               M: TypeDABimodule, M2: TypeDABimodule,
+               states) -> dict[Key, set]:
+    """The table of a map (N . M) -> (N2 . M2) that feeds the A2 chain of
+    each state into T : N -> N2 once; states(j, steps) yields the (M2
+    generator, consumed inputs, A2 chain) states from generator j of M,
+    with one steps counter per generator pair."""
     if N.right_algebra is not M.left_algebra:
         raise MiddleAlgebraMismatch(
             "right algebra of the left factor differs from the left "
             "algebra of the right factor")
-    pos_s = {p: k for k, p in enumerate(_matched_pairs(N, M))}
-    pos_t = {p: k for k, p in enumerate(_matched_pairs(N2, M))}
+    pos_t = {p: k for k, p in enumerate(_matched_pairs(N2, M2))}
     table: dict[Key, set] = {}
-    for (i, j), key in pos_s.items():
-        steps = [0]
-        for y, seq, chain in _chain_states(M, j, T.arity_bound,
-                                           step_budget, steps):
+    for key, (i, j) in enumerate(_matched_pairs(N, M)):
+        for y, seq, chain in states(j, [0]):
             for b, i2 in T.entry(i, chain):
                 out = pos_t.get((i2, y))
                 if out is None:
@@ -100,6 +118,13 @@ def _box_left(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
                 bucket = table.setdefault((key, seq), set())
                 bucket ^= {(b, out)}
     return table
+
+
+def _box_left(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
+              M: TypeDABimodule, step_budget: int | None) -> dict[Key, set]:
+    """The table of T . I : (N . M) -> (N2 . M) for T from N to N2."""
+    return _box_table(T, N, N2, M, M, lambda j, steps: _chain_states(
+        M, j, T.arity_bound, step_budget, steps))
 
 
 def box_bimodules(N: TypeDABimodule, M: TypeDABimodule,
@@ -126,40 +151,11 @@ def box_morphism_left(F: DAMorphism, M: TypeDABimodule,
 def box_morphism_right(N: TypeDABimodule, G: DAMorphism,
                        step_budget: int | None = None) -> DAMorphism:
     """I . G : (N . M) -> (N . M') for G : M -> M'."""
-    M, M2 = G.source, G.target
-    if N.right_algebra is not M.left_algebra:
-        raise MiddleAlgebraMismatch(
-            "left factor does not compose with the morphism algebras")
-    source = box_bimodules(N, M, step_budget)
-    target = box_bimodules(N, M2, step_budget)
-    pos_s = {p: k for k, p in enumerate(_matched_pairs(N, M))}
-    pos_t = {p: k for k, p in enumerate(_matched_pairs(N, M2))}
-
-    table: dict[Key, set] = {}
-    for (i, j), key in pos_s.items():
-        steps = [0]
-        # M-iterates, one G application, then M'-iterates
-        for y1, seq1, chain1 in _chain_states(M, j, max(N.arity_bound - 1, 0),
-                                              step_budget, steps):
-            for seq_g, outs_g in G.entries_by_generator.get(y1, ()):
-                for g, y2 in sorted(outs_g):
-                    mid_chain = chain1 + (g,)
-                    if len(mid_chain) > N.arity_bound:
-                        continue
-                    for y3, seq3, chain3 in _chain_states(
-                            M2, y2,
-                            N.arity_bound - len(mid_chain),
-                            step_budget, steps):
-                        chain = mid_chain + chain3
-                        for b, i2 in N.entry(i, chain):
-                            out = pos_t.get((i2, y3))
-                            if out is None:
-                                continue  # zero over the idempotent ring
-                            bucket = table.setdefault(
-                                (key, seq1 + seq_g + seq3), set())
-                            bucket ^= {(b, out)}
-
-    return make_morphism(source, target, table,
+    table = _box_table(N, N, N, G.source, G.target,
+                       lambda j, steps: _morphism_chain_states(
+                           G, j, N.arity_bound, step_budget, steps))
+    return make_morphism(box_bimodules(N, G.source, step_budget),
+                         box_bimodules(N, G.target, step_budget), table,
                          label=f"id.{G.label}" if G.label else "")
 
 

@@ -24,7 +24,10 @@ leaf derives its initial word f_l . f_r and resulting word
 f_l . T[cycle] . f_r; horizontal composition concatenates words and
 vertical composition requires the middle words to agree.  Leaves may
 carry formal circle names for their left/right edges; when both sides of
-a horizontal composition declare one, they must match.
+a horizontal composition declare one, they must match.  Both
+compositions are associative, so a node holds the flat tuple of its
+parts (left to right, bottom to top) and a chain of one kind is never
+nested.
 
 evaluate maps a tree to a bimodule morphism: identity leaves to identity
 morphisms of box-chains of letter bimodules, critical leaves to assigned
@@ -34,7 +37,9 @@ composition to composition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
+from functools import reduce
 
 from .bimodules import TypeDABimodule, identity_bimodule
 from .boxes import box_bimodules, box_morphisms
@@ -43,9 +48,6 @@ from .errors import (AssignmentIncomplete, BoundaryMismatch,
 from .morphisms import DAMorphism, compose, identity_morphism, same_shape
 
 # --- words ----------------------------------------------------------------
-
-Letter = tuple  # (symbol: str | Twist, inverted: bool)
-
 
 def _reduce_letters(letters) -> tuple:
     stack: list = []
@@ -95,10 +97,7 @@ class Twist:
 
 
 def concat(*words: Word) -> Word:
-    letters: tuple = ()
-    for w in words:
-        letters += w.letters
-    return Word(letters)
+    return Word(tuple(lt for w in words for lt in w.letters))
 
 
 def inverse(w: Word) -> Word:
@@ -243,12 +242,6 @@ class AbstractCLF:
         return not self.f_l and not self.f_r
 
 
-def make_clf(f_l: Word, f_r: Word, cycle: CycleLabel,
-             left_pmc: str | None = None,
-             right_pmc: str | None = None) -> AbstractCLF:
-    return AbstractCLF(f_l, f_r, cycle, left_pmc, right_pmc)
-
-
 class CLFExpression:
     """Base class for decomposition trees."""
 
@@ -267,14 +260,20 @@ class CritLeaf(CLFExpression):
 
 @dataclass(frozen=True)
 class HComp(CLFExpression):
-    left: CLFExpression
-    right: CLFExpression
+    """Horizontal composition of two or more parts, left to right."""
+
+    parts: tuple
 
 
 @dataclass(frozen=True)
 class VComp(CLFExpression):
-    bottom: CLFExpression
-    top: CLFExpression
+    """Vertical composition of two or more parts, bottom to top."""
+
+    parts: tuple
+
+
+def _parts(expr: CLFExpression, kind: type) -> tuple:
+    return expr.parts if isinstance(expr, kind) else (expr,)
 
 
 def initial_word(expr: CLFExpression) -> Word:
@@ -283,9 +282,9 @@ def initial_word(expr: CLFExpression) -> Word:
     if isinstance(expr, CritLeaf):
         return expr.clf.initial_word
     if isinstance(expr, HComp):
-        return concat(initial_word(expr.left), initial_word(expr.right))
+        return concat(*map(initial_word, expr.parts))
     if isinstance(expr, VComp):
-        return initial_word(expr.bottom)
+        return initial_word(expr.parts[0])
     raise TypeError(type(expr).__name__)
 
 
@@ -295,9 +294,9 @@ def resulting_word(expr: CLFExpression) -> Word:
     if isinstance(expr, CritLeaf):
         return expr.clf.resulting_word
     if isinstance(expr, HComp):
-        return concat(resulting_word(expr.left), resulting_word(expr.right))
+        return concat(*map(resulting_word, expr.parts))
     if isinstance(expr, VComp):
-        return resulting_word(expr.top)
+        return resulting_word(expr.parts[-1])
     raise TypeError(type(expr).__name__)
 
 
@@ -307,9 +306,10 @@ def left_pmc(expr: CLFExpression) -> str | None:
     if isinstance(expr, CritLeaf):
         return expr.clf.left_pmc
     if isinstance(expr, HComp):
-        return left_pmc(expr.left)
+        return left_pmc(expr.parts[0])
     if isinstance(expr, VComp):
-        return left_pmc(expr.bottom) or left_pmc(expr.top)
+        return next((l for l in map(left_pmc, expr.parts)
+                     if l is not None), None)
     raise TypeError(type(expr).__name__)
 
 
@@ -319,9 +319,10 @@ def right_pmc(expr: CLFExpression) -> str | None:
     if isinstance(expr, CritLeaf):
         return expr.clf.right_pmc
     if isinstance(expr, HComp):
-        return right_pmc(expr.right)
+        return right_pmc(expr.parts[-1])
     if isinstance(expr, VComp):
-        return right_pmc(expr.bottom) or right_pmc(expr.top)
+        return next((l for l in map(right_pmc, expr.parts)
+                     if l is not None), None)
     raise TypeError(type(expr).__name__)
 
 
@@ -331,7 +332,7 @@ def compose_h(e1: CLFExpression, e2: CLFExpression) -> HComp:
     if r is not None and l is not None and r != l:
         raise BoundaryMismatch(
             f"right edge {r!r} does not match left edge {l!r}")
-    return HComp(e1, e2)
+    return HComp(_parts(e1, HComp) + _parts(e2, HComp))
 
 
 def compose_v(bottom: CLFExpression, top: CLFExpression) -> VComp:
@@ -346,7 +347,13 @@ def compose_v(bottom: CLFExpression, top: CLFExpression) -> VComp:
         if a is not None and b is not None and a != b:
             raise BoundaryMismatch(
                 f"{side} circles {a!r} and {b!r} differ")
-    return VComp(bottom, top)
+    return VComp(_parts(bottom, VComp) + _parts(top, VComp))
+
+
+def same_boundaries(e1: CLFExpression, e2: CLFExpression) -> bool:
+    """Equal initial and resulting words, as reduced expanded words."""
+    return (words_equal(initial_word(e1), initial_word(e2))
+            and words_equal(resulting_word(e1), resulting_word(e2)))
 
 
 # --- rewrites ---------------------------------------------------------------
@@ -355,57 +362,51 @@ def factor_leaf(leaf: CritLeaf) -> CLFExpression:
     """Crit(f_l, f_r, z) = I(f_l) o_h Crit(e, e, z) o_h I(f_r)."""
     clf = leaf.clf
     core = CritLeaf(AbstractCLF(EMPTY_WORD, EMPTY_WORD, clf.cycle))
-    return compose_h(
-        compose_h(IdentityLeaf(clf.f_l, left_pmc=clf.left_pmc), core),
-        IdentityLeaf(clf.f_r, right_pmc=clf.right_pmc))
+    return chain([IdentityLeaf(clf.f_l, left_pmc=clf.left_pmc), core,
+                  IdentityLeaf(clf.f_r, right_pmc=clf.right_pmc)])
 
 
 def vcomp_count(expr: CLFExpression) -> int:
+    """The number of binary vertical compositions: n - 1 per n-part V."""
     if isinstance(expr, (IdentityLeaf, CritLeaf)):
         return 0
-    if isinstance(expr, HComp):
-        return vcomp_count(expr.left) + vcomp_count(expr.right)
-    return 1 + vcomp_count(expr.bottom) + vcomp_count(expr.top)
+    joints = len(expr.parts) - 1 if isinstance(expr, VComp) else 0
+    return joints + sum(map(vcomp_count, expr.parts))
 
 
 def normalize_horizontal(expr: CLFExpression) -> CLFExpression:
     """Eliminate vertical compositions.
 
-    Each vertical node with middle word f' becomes
-    bottom o_h Identity(f'^-1) o_h top; the inverse cancels against the
-    neighbours' words, so the outer boundary words are unchanged as
-    reduced words, and each rewrite removes exactly one vertical node.
+    Each joint of a vertical node, with middle word f' between parts
+    below and above, becomes below o_h Identity(f'^-1) o_h above; the
+    inverse cancels against the neighbours' words, so the outer boundary
+    words are unchanged as reduced words, and each rewrite removes
+    exactly one binary vertical composition.
     """
     if isinstance(expr, (IdentityLeaf, CritLeaf)):
         return expr
+    parts = [normalize_horizontal(p) for p in expr.parts]
     if isinstance(expr, HComp):
-        return compose_h(normalize_horizontal(expr.left),
-                         normalize_horizontal(expr.right))
-    bottom = normalize_horizontal(expr.bottom)
-    top = normalize_horizontal(expr.top)
-    middle = resulting_word(bottom)
-    bridge = IdentityLeaf(inverse(middle),
-                          left_pmc=right_pmc(bottom),
-                          right_pmc=left_pmc(top))
-    return compose_h(compose_h(bottom, bridge), top)
+        return chain(parts)
+    out = parts[:1]
+    for below, above in zip(parts, parts[1:]):
+        out.append(IdentityLeaf(inverse(resulting_word(below)),
+                                left_pmc=right_pmc(below),
+                                right_pmc=left_pmc(above)))
+        out.append(above)
+    return chain(out)
 
 
 def flatten(expr: CLFExpression) -> list[CLFExpression]:
     """Leaves of a horizontal chain, left to right."""
-    if isinstance(expr, HComp):
-        return flatten(expr.left) + flatten(expr.right)
-    if isinstance(expr, VComp):
+    leaves = list(_parts(expr, HComp))
+    if any(isinstance(leaf, VComp) for leaf in leaves):
         raise NotInTwistForm("expression is not a horizontal chain")
-    return [expr]
+    return leaves
 
 
 def chain(leaves: list[CLFExpression]) -> CLFExpression:
-    if not leaves:
-        return IdentityLeaf(EMPTY_WORD)
-    out = leaves[0]
-    for leaf in leaves[1:]:
-        out = compose_h(out, leaf)
-    return out
+    return reduce(compose_h, leaves) if leaves else IdentityLeaf(EMPTY_WORD)
 
 
 def prune_empty_identities(leaves: list[CLFExpression]) -> list[CLFExpression]:
@@ -434,12 +435,8 @@ def hurwitz(expr: CLFExpression, i: int) -> CLFExpression:
                 "factor and merge identities first")
     z1, z2 = first.clf.cycle, second.clf.cycle
     twisted = CycleLabel(concat(twist(z1), z2.prefix), z2.base)
-    new_first = CritLeaf(AbstractCLF(EMPTY_WORD, EMPTY_WORD, twisted,
-                                     first.clf.left_pmc,
-                                     first.clf.right_pmc))
-    new_second = CritLeaf(AbstractCLF(EMPTY_WORD, EMPTY_WORD, z1,
-                                      second.clf.left_pmc,
-                                      second.clf.right_pmc))
+    new_first = CritLeaf(replace(first.clf, cycle=twisted))
+    new_second = CritLeaf(replace(second.clf, cycle=z1))
     return chain(leaves[:i] + [new_first, new_second] + leaves[i + 2:])
 
 
@@ -516,13 +513,9 @@ class CLFAssignment:
     def word_bimodule(self, w: Word) -> TypeDABimodule:
         key = w.letters
         if key not in self._cache:
-            if not key:
-                value = identity_bimodule(self.base_algebra)
-            else:
-                value = self.letter_bimodule(key[0])
-                for lt in key[1:]:
-                    value = box_bimodules(value, self.letter_bimodule(lt))
-            self._cache[key] = value
+            self._cache[key] = (
+                reduce(box_bimodules, map(self.letter_bimodule, key)) if key
+                else identity_bimodule(self.base_algebra))
         return self._cache[key]
 
     def crit_morphism(self, clf: AbstractCLF) -> DAMorphism:
@@ -541,7 +534,8 @@ def evaluate(expr: CLFExpression, assignment: CLFAssignment) -> DAMorphism:
     critical leaves take their assigned morphism, whose source and target
     must match the chains of the leaf's initial and resulting words;
     horizontal composition becomes the box of morphisms and vertical
-    composition becomes composition.
+    composition becomes composition, each folded over the parts from the
+    left (both are associative).
     """
     if isinstance(expr, IdentityLeaf):
         return identity_morphism(assignment.word_bimodule(expr.word))
@@ -554,100 +548,102 @@ def evaluate(expr: CLFExpression, assignment: CLFAssignment) -> DAMorphism:
             raise BoundaryMismatch(
                 "assigned morphism does not match the leaf's boundary words")
         return F
+    parts = (evaluate(p, assignment) for p in expr.parts)
     if isinstance(expr, HComp):
-        return box_morphisms(evaluate(expr.left, assignment),
-                             evaluate(expr.right, assignment))
-    if isinstance(expr, VComp):
-        return compose(evaluate(expr.top, assignment),
-                       evaluate(expr.bottom, assignment))
-    raise TypeError(type(expr).__name__)
+        return reduce(box_morphisms, parts)
+    return reduce(lambda below, above: compose(above, below), parts)
 
 
 # --- expression text form -----------------------------------------------------
 
 def expression_str(expr: CLFExpression) -> str:
+    """The text form; an n-part node prints left-nested, as n - 1 binary
+    H(.., ..) or V(.., ..) around its parts."""
     if isinstance(expr, IdentityLeaf):
         return f"ID({word_str(expr.word)})"
     if isinstance(expr, CritLeaf):
         clf = expr.clf
         return (f"CRIT(fl={word_str(clf.f_l)}, fr={word_str(clf.f_r)}, "
                 f"vc={clf.cycle})")
-    if isinstance(expr, HComp):
-        return f"H({expression_str(expr.left)}, {expression_str(expr.right)})"
-    if isinstance(expr, VComp):
-        return f"V({expression_str(expr.bottom)}, {expression_str(expr.top)})"
-    raise TypeError(type(expr).__name__)
+    first, *rest = map(expression_str, expr.parts)
+    head = "H(" if isinstance(expr, HComp) else "V("
+    return head * len(rest) + first + "".join(f", {p})" for p in rest)
+
+
+_OPEN = re.compile(r"\s*(ID|CRIT|H|V)\(")
+_NEXT = re.compile(r"\s*(.?)")
 
 
 def parse_expression(text: str, line: int | None = None,
                      col: int = 0) -> CLFExpression:
-    """Parse ID(word) | CRIT(fl=.., fr=.., vc=..) | H(e1, e2) | V(e1, e2)."""
-    expr, rest = _parse_expr(text.strip(), line, col)
-    if rest.strip():
-        raise ParseError(f"trailing input {rest.strip()!r}", line, col)
-    return expr
+    """Parse ID(word) | CRIT(fl=.., fr=.., vc=..) | H(e1, e2) | V(e1, e2).
+
+    One left-to-right pass keeps the open H( and V( frames on a stack, so
+    nesting depth costs no recursion: a ',' stores a frame's first
+    argument and its ')' composes the two.  A leaf ends at its first ')',
+    since words bracket only with [...].  Errors carry col plus the
+    offset of the offending character.
+    """
+    frames: list[list] = []  # [head, first argument or None]
+    i = 0
+    while True:
+        m = _OPEN.match(text, i)
+        if m is None:
+            i = _NEXT.match(text, i).start(1)
+            raise ParseError(f"expected ID/CRIT/H/V at {text[i:i + 20]!r}",
+                             line, col + i)
+        head, i = m.group(1), m.end()
+        if head in ("H", "V"):
+            frames.append([head, None])
+            continue
+        close = text.find(")", i)
+        if close < 0:
+            raise ParseError("unbalanced parentheses", line, col + m.start(1))
+        expr = _parse_leaf(head, text[i:close], line, col + i)
+        i = close + 1
+        while True:
+            m = _NEXT.match(text, i)
+            sep, at, i = m.group(1), m.start(1), m.end()
+            if not frames:
+                if sep:
+                    raise ParseError(f"trailing input {text[at:].strip()!r}",
+                                     line, col + at)
+                return expr
+            head, first = frames[-1]
+            if sep == "," and first is None:
+                frames[-1][1] = expr
+                break
+            if sep == ")" and first is not None:
+                frames.pop()
+                expr = (compose_h if head == "H" else compose_v)(first, expr)
+                continue
+            raise ParseError(f"{head} takes two arguments" if sep
+                             else "unbalanced parentheses", line, col + at)
 
 
-def _split_args(body: str, line, col) -> list[str]:
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(body):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(body[start:i])
-            start = i + 1
-    parts.append(body[start:])
-    return parts
+def _indent(text: str) -> int:
+    return len(text) - len(text.lstrip())
 
 
-def _parse_expr(text: str, line, col) -> tuple[CLFExpression, str]:
-    text = text.lstrip()
-    for head in ("ID", "CRIT", "H", "V"):
-        if text.startswith(head + "("):
-            depth = 0
-            for i in range(len(head), len(text)):
-                if text[i] == "(":
-                    depth += 1
-                elif text[i] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        body = text[len(head) + 1:i]
-                        rest = text[i + 1:]
-                        return _parse_head(head, body, line, col), rest
-            raise ParseError("unbalanced parentheses", line, col)
-    raise ParseError(f"expected ID/CRIT/H/V at {text[:20]!r}", line, col)
-
-
-def _parse_head(head: str, body: str, line, col) -> CLFExpression:
+def _parse_leaf(head: str, body: str, line, col) -> CLFExpression:
     if head == "ID":
-        return IdentityLeaf(parse_word(body, line, col))
-    if head == "CRIT":
-        fields = {"fl": EMPTY_WORD, "fr": EMPTY_WORD}
-        cycle = None
-        for part in _split_args(body, line, col):
-            if "=" not in part:
-                raise ParseError(f"bad CRIT field {part!r}", line, col)
-            key, _, value = part.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in ("fl", "fr"):
-                fields[key] = parse_word(value, line, col)
-            elif key == "vc":
-                cycle = parse_cycle_label(value, line, col)
-            else:
-                raise ParseError(f"unknown CRIT field {key!r}", line, col)
-        if cycle is None:
-            raise ParseError("CRIT needs vc=word@symbol", line, col)
-        return CritLeaf(AbstractCLF(fields["fl"], fields["fr"], cycle))
-    args = _split_args(body, line, col)
-    if len(args) != 2:
-        raise ParseError(f"{head} takes two arguments", line, col)
-    e1 = parse_expression(args[0], line, col)
-    e2 = parse_expression(args[1], line, col)
-    if head == "H":
-        return compose_h(e1, e2)
-    return compose_v(e1, e2)
+        return IdentityLeaf(parse_word(body, line, col + _indent(body)))
+    fields = {"fl": EMPTY_WORD, "fr": EMPTY_WORD}
+    cycle = None
+    for part in body.split(","):
+        key, eq, value = part.partition("=")
+        at = col + _indent(key)
+        if not eq:
+            raise ParseError(f"bad CRIT field {part!r}", line, at)
+        vcol = col + len(key) + 1 + _indent(value)
+        key = key.strip()
+        if key in ("fl", "fr"):
+            fields[key] = parse_word(value, line, vcol)
+        elif key == "vc":
+            cycle = parse_cycle_label(value.strip(), line, vcol)
+        else:
+            raise ParseError(f"unknown CRIT field {key!r}", line, at)
+        col += len(part) + 1
+    if cycle is None:
+        raise ParseError("CRIT needs vc=word@symbol", line, col - 1)
+    return CritLeaf(AbstractCLF(fields["fl"], fields["fr"], cycle))

@@ -7,6 +7,8 @@ a fixed contract:
     0   the checked property holds (or the computation succeeded)
     1   the property fails, or no witness exists within the cap
     2   parse or validation errors in the input
+    3   an internal error: a fault of strandcalc itself, reported as one
+        `error: internal: <Type>: <message>` line on stderr
 
 Reports print as sorted `key: value` lines, or as JSON with sorted keys
 under --format json.  Commands that emit declarations (boxtensor,
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 from . import clf as clfmod
 from . import document as docmod
-from .bimodules import check_structure, homology
+from .bimodules import check_structure, homology, named_entry
 from .errors import (DocumentError, IncompatibleCycle, StrandCalcError)
 from .morphisms import compose, is_closed, is_homotopic
 from .boxes import box_bimodules, box_morphisms
@@ -189,11 +191,7 @@ def _cmd_clf(doc, args) -> CommandResult:
     expr = doc.get(args.name, "clf")
     if args.action == "normalize":
         after = clfmod.normalize_horizontal(expr)
-        preserved = (
-            clfmod.words_equal(clfmod.initial_word(expr),
-                               clfmod.initial_word(after))
-            and clfmod.words_equal(clfmod.resulting_word(expr),
-                                   clfmod.resulting_word(after)))
+        preserved = clfmod.same_boundaries(expr, after)
         payload = {
             "before": clfmod.expression_str(expr),
             "after": clfmod.expression_str(after),
@@ -204,11 +202,7 @@ def _cmd_clf(doc, args) -> CommandResult:
         return CommandResult("pass" if preserved else "fail", payload)
     if args.action == "hurwitz":
         after = clfmod.hurwitz(expr, args.pos)
-        preserved = (
-            clfmod.words_equal(clfmod.initial_word(expr),
-                               clfmod.initial_word(after))
-            and clfmod.words_equal(clfmod.resulting_word(expr),
-                                   clfmod.resulting_word(after)))
+        preserved = clfmod.same_boundaries(expr, after)
         payload = {
             "position": args.pos,
             "before": clfmod.expression_str(expr),
@@ -234,20 +228,12 @@ def _cmd_clf(doc, args) -> CommandResult:
         assign = doc.get(args.assign, "assign")
         F = clfmod.evaluate(expr, assign)
         closed = is_closed(F)
-        A1, A2 = F.source.left_algebra, F.source.right_algebra
-        table = []
-        for (x, seq), outs in sorted(F.table.items()):
-            table.append([
-                F.source.gens[x].name,
-                [A2.name(a) for a in seq],
-                sorted(f"{A1.name(b)} : {F.target.gens[y].name}"
-                       for b, y in outs),
-            ])
         payload = {
             "entries": len(F.table),
             "arity_bound": F.arity_bound,
             "closed": closed.closed,
-            "table": table,
+            "table": [named_entry(F.source, F.target, x, seq, outs)
+                      for (x, seq), outs in sorted(F.table.items())],
         }
         return CommandResult("pass" if closed.closed else "fail", payload)
     raise DocumentError(f"unknown clf action {args.action!r}")
@@ -338,6 +324,10 @@ def main(argv=None) -> int:
     except StrandCalcError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
     sys.stdout.write(render(result, args.format))
     return result.exit_code
 

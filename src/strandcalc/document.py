@@ -321,7 +321,9 @@ def _parse_clf(doc: Document, cur: _Cursor, block) -> None:
     name = cur.word()
     cur.literal("=")
     try:
-        expr = clfmod.parse_expression(cur.rest(), cur.line, cur.pos)
+        cur.skip_ws()
+        start = cur.base + cur.pos
+        expr = clfmod.parse_expression(cur.rest(), cur.line, start)
     except StrandCalcError as exc:
         if isinstance(exc, DocumentError):
             raise

@@ -39,7 +39,7 @@ from typing import Iterable, Mapping
 
 from . import f2
 from .bimodules import (DATable, Key, Span, TypeDABimodule, checked_table,
-                        sandwiched)
+                        named_entry, sandwiched)
 from .errors import BimoduleMismatch, NotClosed
 
 Coord = tuple[int, tuple[int, ...], tuple[int, int]]
@@ -168,16 +168,9 @@ def is_closed(F: DAMorphism) -> Closedness:
     dF = morphism_differential(F)
     if not dF.table:
         return Closedness(True, None)
-    key = min(dF.table, key=lambda k: (len(k[1]), k))
-    x, seq = key
-    M, N, A1 = F.source, F.target, F.source.left_algebra
-    witness = (
-        M.gens[x].name,
-        tuple(F.source.right_algebra.name(a) for a in seq),
-        tuple(sorted(f"{A1.name(b)} : {N.gens[y].name}"
-                     for b, y in dF.table[key])),
-    )
-    return Closedness(False, witness)
+    x, seq = min(dF.table, key=lambda k: (len(k[1]), k))
+    return Closedness(False, named_entry(F.source, F.target, x, seq,
+                                         dF.table[x, seq]))
 
 
 def compose(G: DAMorphism, F: DAMorphism) -> DAMorphism:

@@ -7,15 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strandcalc.bimodules import identity_bimodule
+from strandcalc.boxes import box_morphisms
 from strandcalc.circles import torus_circle
 from strandcalc.errors import (AssignmentIncomplete, BoundaryMismatch,
-                               IncompatibleCycle, NotInTwistForm)
-from strandcalc.morphisms import (identity_morphism, is_closed, is_homotopic,
-                                  morphism_differential)
+                               IncompatibleCycle, NotInTwistForm,
+                               ParseError)
+from strandcalc.morphisms import (compose, identity_morphism, is_closed,
+                                  is_homotopic, morphism_differential)
 from strandcalc.strands import build_dga
 from strandcalc import clf
 from strandcalc.clf import (AbstractCLF, CLFAssignment, CritLeaf, CycleLabel,
-                            EMPTY_WORD, IdentityLeaf, Word,
+                            EMPTY_WORD, HComp, IdentityLeaf, VComp, Word,
                             compose_h, compose_v, concat, evaluate,
                             expression_str, factor_leaf, flatten, hurwitz,
                             initial_word, inverse, letter, normalize_horizontal,
@@ -149,6 +151,26 @@ def random_expression(rng: Random, leaves: int):
     return build(leaves)
 
 
+words_strategy = letters_strategy.map(lambda letters: Word(tuple(letters)))
+leaf_strategy = st.one_of(
+    st.builds(IdentityLeaf, words_strategy),
+    st.builds(lambda f_l, f_r, cycle: CritLeaf(AbstractCLF(f_l, f_r, cycle)),
+              words_strategy, words_strategy,
+              st.builds(CycleLabel, words_strategy, st.sampled_from("yz"))))
+
+
+def compose_strategy(children):
+    """H of two trees, or V of a tree with an identity on its free edge."""
+    def build(args):
+        how, a, b = args
+        if how == "H":
+            return compose_h(a, b)
+        if how == "V":
+            return compose_v(a, IdentityLeaf(resulting_word(a)))
+        return compose_v(IdentityLeaf(initial_word(b)), b)
+    return st.tuples(st.sampled_from("HVW"), children, children).map(build)
+
+
 class TestNormalize:
     def test_already_horizontal_unchanged(self):
         e = compose_h(IdentityLeaf(A_LET),
@@ -275,6 +297,55 @@ class TestExpressionText:
         with pytest.raises(BoundaryMismatch):
             parse_expression("V(CRIT(fl=e, fr=e, vc=e@z), ID(a))")
 
+    @given(st.recursive(leaf_strategy, compose_strategy, max_leaves=12))
+    def test_round_trip_random_trees(self, expr):
+        assert parse_expression(expression_str(expr)) == expr
+
+    def test_right_nested_input_prints_left_nested(self):
+        for head in "HV":
+            expr = parse_expression(
+                f"{head}(ID(a), {head}(ID(a), ID(a)))")
+            assert len(expr.parts) == 3
+            assert expression_str(expr) == \
+                f"{head}({head}(ID(a), ID(a)), ID(a))"
+
+    @pytest.mark.parametrize("head,kind,vcomps", [("H", HComp, 0),
+                                                  ("V", VComp, 2000)])
+    def test_long_chains(self, head, kind, vcomps):
+        # 2,000 binary compositions nest 2,000 deep in the text; the flat
+        # node, the parser and every walk stay free of recursion per link
+        text = "ID(a)"
+        for _ in range(2000):
+            text = f"{head}({text}, ID(a))"
+        expr = parse_expression(text)
+        assert isinstance(expr, kind) and len(expr.parts) == 2001
+        assert expression_str(expr) == text
+        assert vcomp_count(expr) == vcomps
+        flat = normalize_horizontal(expr)
+        assert vcomp_count(flat) == 0
+        assert words_equal(initial_word(flat), initial_word(expr))
+        assert words_equal(resulting_word(flat), resulting_word(expr))
+        F = evaluate(expr, toy_assignment())
+        assert F.table == identity_morphism(F.source).table
+
+    @pytest.mark.parametrize("text,column", [
+        ("H(ID(a), ID(q?))", 13),
+        ("H(ID(a), ID( q?))", 14),
+        ("CRIT(fl=a, fr= b?, vc=e@z)", 16),
+        ("H(ID(a) ID(b))", 8),
+        ("H(ID(a), ID(b), ID(c))", 14),
+        ("V(ID(a))", 7),
+        ("H(ID(a), ID(b)", 14),
+        ("H(ID(a), ID(b)) x", 16),
+        ("H(ID(a), Q(b))", 9),
+        ("CRIT(fl=a, fr=b, vc=ab)", 20),
+        ("CRIT(fl=a, fx=b, vc=e@z)", 11),
+    ])
+    def test_parse_errors_located(self, text, column):
+        with pytest.raises(ParseError) as info:
+            parse_expression(text, 7, 100)
+        assert (info.value.line, info.value.column) == (7, 100 + column)
+
     def test_cycle_label_round_trip(self):
         for text in ("e@z", "ab'@y", "T[e@z]a@y"):
             assert str(parse_cycle_label(text)) == text
@@ -336,6 +407,45 @@ class TestEvaluate:
         f2 = evaluate(h, assign)
         assert is_closed(f1) and is_closed(f2)
         assert is_homotopic(f1, f2, 4)
+
+
+class TestAssociativity:
+    """A chain of one kind evaluates as a left fold over its flat parts;
+    the right-nested binary reading must give the same morphism."""
+
+    # three critical leaves whose words chain vertically: e -> T[z] ->
+    # T[z]T[y] -> T[z]T[y]T[z]
+    TEXTS = ("CRIT(fl=e, fr=e, vc=e@z)",
+             "CRIT(fl=T[e@z], fr=e, vc=e@y)",
+             "CRIT(fl=T[e@z]T[e@y], fr=e, vc=e@z)")
+
+    def setup_method(self):
+        rng = Random(37)
+        self.leaves = [parse_expression(t) for t in self.TEXTS]
+        crits = {leaf.clf: identity_morphism(I_BIM) + morphism_differential(
+                     random_chained_table(rng, I_BIM, I_BIM, 1, 3))
+                 for leaf in self.leaves}
+        self.assign = CLFAssignment(A_ALG, crits=crits,
+                                    default_letter=I_BIM)
+        self.values = [evaluate(leaf, self.assign) for leaf in self.leaves]
+
+    def _both_nestings(self, head):
+        a, b, c = self.TEXTS
+        return [evaluate(parse_expression(text), self.assign) for text in
+                (f"{head}({a}, {head}({b}, {c}))",
+                 f"{head}({head}({a}, {b}), {c})")]
+
+    def test_horizontal(self):
+        Fa, Fb, Fc = self.values
+        right_nested = box_morphisms(Fa, box_morphisms(Fb, Fc))
+        assert right_nested.table
+        assert self._both_nestings("H") == [right_nested] * 2
+
+    def test_vertical(self):
+        Fa, Fb, Fc = self.values
+        right_nested = compose(compose(Fc, Fb), Fa)
+        assert right_nested.table
+        assert self._both_nestings("V") == [right_nested] * 2
 
 
 class TestTwoFunctorAxioms:

@@ -40,6 +40,31 @@ class TestExitCodes:
         proc = run("pmc", "check", "NOPE")
         assert proc.returncode == 2
 
+    def test_internal_error_is_not_one(self, tmp_path):
+        # alternating V/H nesting still recurses once per level; the crash
+        # must not read as a failing property, nor end in a traceback
+        expr = "ID(a)"
+        for _ in range(600):
+            expr = f"V(H({expr}, ID(e)), ID(a))"
+        doc = tmp_path / "alternating.bhf"
+        doc.write_text(f"CLF D = {expr}\n")
+        proc = run("clf", "normalize", "D", doc=str(doc))
+        assert proc.returncode != 1
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 3:
+            assert proc.stderr.startswith("error: internal: ")
+            assert proc.stderr.count("\n") == 1
+
+    def test_deep_horizontal_nesting_normalizes(self, tmp_path):
+        expr = "ID(a)"
+        for _ in range(400):
+            expr = f"H({expr}, ID(b))"
+        doc = tmp_path / "deep.bhf"
+        doc.write_text(f"CLF D = {expr}\n")
+        proc = run("clf", "normalize", "D", doc=str(doc))
+        assert proc.returncode == 0
+        assert "boundaries_preserved: true" in proc.stdout
+
     def test_invalid_circle_check_fails(self, tmp_path):
         doc = tmp_path / "degenerate.bhf"
         doc.write_text("PMC BAD GENUS 1 PAIRS (1 2) (3 4)\n")

@@ -63,6 +63,12 @@ class TestParse:
             parse_document("PMC T GENUS 1 PAIRS (1 3) (2 5)\n")
         assert info.value.line == 1
 
+    def test_clf_error_located_in_expression(self):
+        # columns are 0-based; the '?' inside ID(q?) is at column 31
+        with pytest.raises(ParseError) as info:
+            parse_document("CLF D = H(H(ID(a), ID(b)), ID(q?))\n")
+        assert str(info.value).startswith("line 1, col 31:")
+
     def test_algebra_from_invalid_circle_rejected(self):
         text = ("PMC BAD GENUS 1 PAIRS (1 2) (3 4)\n"
                 "ALGEBRA A FROM BAD\n")
