@@ -23,8 +23,10 @@ nonzero entry.  With A1 an honest DGA the structure relation
 (m the tensor-algebra differential on inputs: entrywise differentials
 plus adjacent products) vanishes identically in arity n > 2K, because
 D_1 dies above arity K, D_2 needs two chunks of arity <= K, and the
-m-term shortens or preserves sequences.  check_structure therefore checks
-arities n <= 2K and that check is complete.
+m-term shortens or preserves sequences.  check_structure computes the
+relation at every arity at once, as a table in the morphism complex; the
+2K bound delimits the positions where it can be nonzero, which is the
+range its `tested` count covers.
 """
 
 from __future__ import annotations
@@ -124,10 +126,11 @@ class TypeDABimodule(DATable):
         compose (right idempotent of x = source of a_1, target of a_i =
         source of a_{i+1}) and the output generator continues the chain
         (right idempotent of y = target of a_k, or of x when k = 0).
-        Chained tables over idempotent-graded algebras let relation and
-        homotopy checks skip non-chained input sequences: every term of
-        the structure relation and of the morphism differential then
-        references only chained entries on chained sequences.
+        For a chained table over idempotent-graded algebras every term of
+        the structure relation and of the morphism differential references
+        only chained entries on chained sequences, so the relation can be
+        nonzero only on chained sequences; check_structure counts just
+        those positions in `tested`.
         """
         if self._chained is None:
             self._chained = (self.left_algebra.idem_graded
@@ -166,6 +169,16 @@ def named_entry(M: TypeDABimodule, N: TypeDABimodule, x: int,
     return (M.gens[x].name, tuple(M.right_algebra.name(a) for a in seq),
             tuple(sorted(f"{A1.name(b)} : {N.gens[y].name}"
                          for b, y in outs)))
+
+
+def first_entry(M: TypeDABimodule, N: TypeDABimodule,
+                table: Mapping[Key, Span]) -> tuple | None:
+    """The entry of a table from M to N with the fewest inputs, then the
+    least (generator, inputs), by name; None for an empty table."""
+    if not table:
+        return None
+    x, seq = min(table, key=lambda k: (len(k[1]), k))
+    return named_entry(M, N, x, seq, table[x, seq])
 
 
 def checked_table(A1: DGAlgebra, A2: DGAlgebra,
@@ -245,58 +258,6 @@ def compute_Dn(M: TypeDABimodule, x: int, seq: tuple[int, ...],
     return frozenset(out)
 
 
-def _chained_sequences(M: TypeDABimodule, x: int, max_len: int):
-    """Idempotent-chained input sequences for generator x, in canonical
-    (length, lexicographic) order."""
-    A2 = M.right_algebra
-    by_source: dict[int, list[int]] = {}
-    for a in range(A2.size):
-        by_source.setdefault(A2.left_idem[a], []).append(a)
-    frontier = [((), M.gens[x].right)]
-    yield ()
-    for _ in range(max_len):
-        new = []
-        for seq, state in frontier:
-            for a in by_source.get(state, ()):
-                ext = seq + (a,)
-                yield ext
-                new.append((ext, A2.right_idem[a]))
-        frontier = new
-
-
-def _all_sequences(size: int, max_len: int):
-    yield ()
-    seqs = [()]
-    for _ in range(max_len):
-        seqs = [s + (a,) for s in seqs for a in range(size)]
-        yield from seqs
-
-
-def structure_defect(M: TypeDABimodule, x: int,
-                     seq: tuple[int, ...]) -> frozenset:
-    """The structure relation evaluated at one (generator, sequence)."""
-    A1, A2 = M.left_algebra, M.right_algebra
-    acc: set = set()
-    # (mu_1 x I) o D_1
-    for b, y in M.entry(x, seq):
-        for t in A1.d(b):
-            acc ^= {(t, y)}
-    # (mu_2 x I) o D_2
-    for j in range(len(seq) + 1):
-        for b, y in M.entry(x, seq[:j]):
-            for c, z in M.entry(y, seq[j:]):
-                for t in A1.product(b, c):
-                    acc ^= {(t, z)}
-    # D_1 o (I x m): entrywise differentials, then adjacent products
-    for k, a in enumerate(seq):
-        for u in A2.d(a):
-            acc ^= M.entry(x, seq[:k] + (u,) + seq[k + 1:])
-    for k in range(len(seq) - 1):
-        for w in A2.product(seq[k], seq[k + 1]):
-            acc ^= M.entry(x, seq[:k] + (w,) + seq[k + 2:])
-    return frozenset(acc)
-
-
 @dataclass(frozen=True)
 class StructureReport:
     label: str
@@ -319,36 +280,41 @@ class StructureReport:
         }
 
 
-def check_structure(M: TypeDABimodule,
-                    max_arity: int | None = None) -> StructureReport:
-    """Evaluate the structure relation at every arity up to the bound.
+def _positions(M: TypeDABimodule, bound: int) -> int:
+    """Input positions of arity <= bound: the chained ones for a chained
+    table, every (generator, sequence) pair otherwise."""
+    A2 = M.right_algebra
+    if not M.is_chained:
+        return M.size * sum(A2.size ** k for k in range(bound + 1))
+    walks = [1] * A2.size  # chained sequences of length k from each state
+    total = 0
+    for _ in range(bound + 1):
+        total += sum(walks[g.right] for g in M.gens)
+        nxt = [0] * A2.size
+        for a in range(A2.size):
+            nxt[A2.left_idem[a]] += walks[A2.right_idem[a]]
+        walks = nxt
+    return total
 
-    The default bound 2K is complete (see the module docstring).  For
-    chained tables the enumeration skips non-chained sequences, on which
-    every term vanishes identically; the report records the restriction.
-    A failing report carries the canonically first witness.
+
+def check_structure(M: TypeDABimodule) -> StructureReport:
+    """Evaluate the structure relation at every arity.
+
+    Read D_1 as a morphism D from M to itself.  The relation is then
+    d(D) + D o D = 0 in the morphism complex: the two mu_2 terms of d(D)
+    cancel, and D o D is (mu_2 x I) o D_2.  The nonzero entries of that
+    table are exactly the failing positions, and a failing report carries
+    the canonically first.  `tested` counts the positions of arity <= 2K
+    where the relation can be nonzero (see the module docstring), only
+    the chained ones for a chained table.
     """
-    bound = 2 * M.arity_bound if max_arity is None else max_arity
-    complete = bound >= 2 * M.arity_bound
-    chained = M.is_chained
-    tested = 0
-    failures = []
-    for x in range(M.size):
-        if chained:
-            seqs = _chained_sequences(M, x, bound)
-        else:
-            seqs = _all_sequences(M.right_algebra.size, bound)
-        for seq in seqs:
-            tested += 1
-            defect = structure_defect(M, x, seq)
-            if defect:
-                failures.append((len(seq), x, seq, defect))
-    witness = None
-    if failures:
-        _, x, seq, defect = min(failures)
-        witness = named_entry(M, M, x, seq, defect)
-    return StructureReport(M.label, not failures, bound, complete,
-                           chained, tested, witness)
+    from .morphisms import DAMorphism, compose, morphism_differential
+    D = DAMorphism(M, M, M.table)
+    witness = first_entry(M, M, (morphism_differential(D)
+                                 + compose(D, D)).table)
+    bound = 2 * M.arity_bound
+    return StructureReport(M.label, witness is None, bound, True,
+                           M.is_chained, _positions(M, bound), witness)
 
 
 def identity_bimodule(A: DGAlgebra, label: str = "") -> TypeDABimodule:

@@ -40,22 +40,8 @@ class PointedMatchedCircle:
     matching: tuple[tuple[int, int], ...]
 
     @property
-    def num_points(self) -> int:
-        return 4 * self.genus
-
-    @property
     def points(self) -> range:
         return range(1, 4 * self.genus + 1)
-
-    def pair_of(self, point: int) -> tuple[int, int]:
-        for p in self.matching:
-            if point in p:
-                return p
-        raise KeyError(point)
-
-    def partner(self, point: int) -> int:
-        a, b = self.pair_of(point)
-        return b if point == a else a
 
 
 def _canonical(matching: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:

@@ -239,6 +239,17 @@ def _cmd_clf(doc, args) -> CommandResult:
     raise DocumentError(f"unknown clf action {args.action!r}")
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strandcalc",
@@ -261,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("algebra", help="build or verify a strand algebra")
     p.add_argument("action", choices=("build", "verify"))
     p.add_argument("name")
-    p.add_argument("--budget", type=int, default=10 ** 6)
+    p.add_argument("--budget", type=_at_least(1), default=10 ** 6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_algebra)
 
@@ -282,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("verify", "compose", "box", "homotopic"))
     p.add_argument("names", nargs="+")
     p.add_argument("-o", "--output", default="OUT")
-    p.add_argument("--cap", type=int, default=4)
+    p.add_argument("--cap", type=_at_least(0), default=4)
     p.set_defaults(func=_cmd_morphism)
 
     p = sub.add_parser("homology",

@@ -103,10 +103,6 @@ class _Cursor:
         self.skip_ws()
         return self.pos >= len(self.text)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def literal(self, token: str) -> None:
         self.skip_ws()
         if not self.text.startswith(token, self.pos):

@@ -28,21 +28,11 @@ class F2Vector:
         if any(i < 0 for i in self.support):
             raise ValueError("vector support contains a negative index")
 
-    @classmethod
-    def from_indices(cls, indices: Iterable[int]) -> "F2Vector":
-        return cls(frozenset(indices))
-
     def __add__(self, other: "F2Vector") -> "F2Vector":
         return F2Vector(self.support ^ other.support)
 
     def __bool__(self) -> bool:
         return bool(self.support)
-
-    def dot(self, other: "F2Vector") -> int:
-        return len(self.support & other.support) & 1
-
-
-ZERO_VECTOR = F2Vector()
 
 
 @dataclass(frozen=True)
@@ -68,20 +58,6 @@ class F2Matrix:
     @classmethod
     def identity(cls, n: int) -> "F2Matrix":
         return cls(n, n, frozenset((i, i) for i in range(n)))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int) -> "F2Matrix":
-        """Build from an iterable of per-row column-index iterables."""
-        entries = set()
-        n = 0
-        for r, row in enumerate(rows):
-            n = r + 1
-            for c in row:
-                entries.add((r, c))
-        return cls(n, cols, frozenset(entries))
-
-    def column(self, c: int) -> F2Vector:
-        return F2Vector(frozenset(r for r, cc in self.entries if cc == c))
 
     def apply(self, v: F2Vector) -> F2Vector:
         """Matrix-vector product m.v; v indexes columns."""

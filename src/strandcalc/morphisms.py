@@ -39,7 +39,7 @@ from typing import Iterable, Mapping
 
 from . import f2
 from .bimodules import (DATable, Key, Span, TypeDABimodule, checked_table,
-                        named_entry, sandwiched)
+                        first_entry, sandwiched)
 from .errors import BimoduleMismatch, NotClosed
 
 Coord = tuple[int, tuple[int, ...], tuple[int, int]]
@@ -165,12 +165,9 @@ class Closedness:
 
 def is_closed(F: DAMorphism) -> Closedness:
     """dF = 0 at every arity (complete by boundedness of the tables)."""
-    dF = morphism_differential(F)
-    if not dF.table:
-        return Closedness(True, None)
-    x, seq = min(dF.table, key=lambda k: (len(k[1]), k))
-    return Closedness(False, named_entry(F.source, F.target, x, seq,
-                                         dF.table[x, seq]))
+    witness = first_entry(F.source, F.target,
+                          morphism_differential(F).table)
+    return Closedness(witness is None, witness)
 
 
 def compose(G: DAMorphism, F: DAMorphism) -> DAMorphism:
@@ -253,6 +250,8 @@ def is_homotopic(F: DAMorphism, G: DAMorphism,
     NotWithinCap means no witness of arity <= cap exists and is not a
     proof of non-homotopy.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     if not (same_shape(F.source, G.source)
             and same_shape(F.target, G.target)):
         raise BimoduleMismatch("morphisms do not share source and target")

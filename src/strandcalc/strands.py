@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Callable, Iterable
+from typing import Callable
 
 from .circles import PointedMatchedCircle
 
@@ -107,10 +107,6 @@ def source_idem(c: PointedMatchedCircle, d: StrandDiagram) -> frozenset:
 def target_idem(c: PointedMatchedCircle, d: StrandDiagram) -> frozenset:
     pl = _pair_lookup(c)
     return frozenset(pl[t] for _, t in d.strands) | frozenset(d.horizontals)
-
-
-def idempotent_diagram(pairs: Iterable[tuple[int, int]]) -> StrandDiagram:
-    return StrandDiagram((), tuple(sorted(pairs)))
 
 
 # --- primitive calculus --------------------------------------------------
@@ -302,12 +298,14 @@ class DGAlgebra:
     Elements are frozensets of basis indices.  Each basis element carries a
     left (source) and right (target) idempotent, themselves basis indices.
     The multiplication table may be backed by a closure and filled on
-    demand; missing entries mean zero.
+    demand; missing entries mean zero.  Such a closure must give zero
+    unless the right idempotent of the left factor is the left idempotent
+    of the right factor: materialize asks it only for those matched pairs.
     """
 
     def __init__(self, basis_names, idempotents, left_idem, right_idem,
                  diff, mult=None, mult_fn: Callable[[int, int], frozenset] | None = None,
-                 idem_graded: bool | None = None, label: str = ""):
+                 label: str = ""):
         self.basis_names = tuple(basis_names)
         self.idempotents = tuple(idempotents)
         self.left_idem = tuple(left_idem)
@@ -323,9 +321,7 @@ class DGAlgebra:
         n = self.size
         if len(self.left_idem) != n or len(self.right_idem) != n:
             raise ValueError("idempotent assignment length mismatch")
-        if idem_graded is None:
-            idem_graded = self._scan_idem_graded()
-        self.idem_graded = idem_graded
+        self.idem_graded = self._scan_idem_graded()
 
     @property
     def size(self) -> int:
@@ -336,11 +332,6 @@ class DGAlgebra:
 
     def name(self, i: int) -> str:
         return self.basis_names[i]
-
-    def element_name(self, x: frozenset) -> str:
-        if not x:
-            return "0"
-        return " + ".join(self.basis_names[i] for i in sorted(x))
 
     def is_idempotent(self, i: int) -> bool:
         return i in self.idempotents
@@ -375,11 +366,15 @@ class DGAlgebra:
     # -- derived indexes (used by the morphism complex) --
 
     def materialize(self) -> None:
+        """Fill the product table on every idempotent-matched pair; the
+        products of all other pairs are zero."""
         if self._materialized:
             return
-        n = self.size
-        for i in range(n):
-            for j in range(n):
+        by_left: dict[int, list[int]] = {}
+        for j in range(self.size):
+            by_left.setdefault(self.left_idem[j], []).append(j)
+        for i in range(self.size):
+            for j in by_left.get(self.right_idem[i], ()):
                 self.product(i, j)
         self._materialized = True
 
@@ -455,8 +450,9 @@ def build_dga(c: PointedMatchedCircle, label: str = "") -> DGAlgebra:
 
     The basis is enumerate_basis(c); the differential table is filled
     eagerly, products on first use.  Products and differentials preserve
-    source/target idempotents by construction, so the algebra is flagged
-    idempotent-graded without a table scan.
+    source/target idempotents by construction; the constructor's scan sees
+    the differential table (no product is computed yet) and flags the
+    algebra idempotent-graded.
     """
     basis = enumerate_basis(c)
     names = [diagram_name(d) for d in basis]
@@ -478,8 +474,7 @@ def build_dga(c: PointedMatchedCircle, label: str = "") -> DGAlgebra:
 
     idempotents = sorted(idem_index.values())
     return DGAlgebra(names, idempotents, left, right, diff,
-                     mult_fn=mult_fn, idem_graded=True,
-                     label=label or f"A(genus {c.genus})")
+                     mult_fn=mult_fn, label=label or f"A(genus {c.genus})")
 
 
 # --- verification ---------------------------------------------------------
@@ -538,6 +533,8 @@ def verify_dga(A: DGAlgebra, sample_budget: int = 10 ** 6,
     seeded, so reports are deterministic; failing checks carry up to five
     witnesses of offending generators, in canonical order.
     """
+    if sample_budget < 1:
+        raise ValueError(f"sample budget must be >= 1, got {sample_budget}")
     n = A.size
     checks = []
 

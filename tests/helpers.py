@@ -2,8 +2,10 @@
 
 Everything here is written independently of the library internals it
 checks: the dense GF(2) oracle uses numpy row reduction, the diagram
-oracle enumerates raw endpoint subsets, and the structure-map oracle
-evaluates the recursion as an explicit sum over ordered splittings.
+oracle enumerates raw endpoint subsets, the structure-map oracle
+evaluates the recursion as an explicit sum over ordered splittings, and
+the structure-relation reference evaluates the relation one input
+sequence at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from random import Random
 import numpy as np
 
 from strandcalc import f2
-from strandcalc.bimodules import sandwiched
+from strandcalc.bimodules import compute_Dn, named_entry, sandwiched
 from strandcalc.morphisms import DAMorphism
 
 # --- dense GF(2) oracle (numpy) -------------------------------------------
@@ -201,6 +203,64 @@ def direct_Dn(M, x, seq, n):
         for chain, y in states:
             out ^= {(chain, y)}
     return frozenset(out)
+
+
+# --- structure relation reference (pull form) ---------------------------------
+
+
+def reference_defect(M, x, seq):
+    """The structure relation at one (generator, sequence): d on the
+    outputs of D_1, mu_2 on D_2, and D_1 on the inputs' entrywise
+    differentials and adjacent products."""
+    A1, A2 = M.left_algebra, M.right_algebra
+    acc = set()
+    for b, y in M.entry(x, seq):
+        for t in A1.d(b):
+            acc ^= {(t, y)}
+    for (b, c), z in compute_Dn(M, x, seq, 2):
+        for t in A1.product(b, c):
+            acc ^= {(t, z)}
+    for k, a in enumerate(seq):
+        for u in A2.d(a):
+            acc ^= M.entry(x, seq[:k] + (u,) + seq[k + 1:])
+    for k in range(len(seq) - 1):
+        for w in A2.product(seq[k], seq[k + 1]):
+            acc ^= M.entry(x, seq[:k] + (w,) + seq[k + 2:])
+    return frozenset(acc)
+
+
+def input_positions(M, max_len, chained):
+    """Every (generator, sequence) with at most max_len inputs, listed one
+    by one; with chained, only sequences whose idempotents compose from
+    the generator's right idempotent on."""
+    A2 = M.right_algebra
+    out = []
+    for x in range(M.size):
+        level = [((), M.gens[x].right)]
+        for k in range(max_len + 1):
+            out += [(x, seq) for seq, _ in level]
+            if k < max_len:
+                level = [(seq + (a,), A2.right_idem[a])
+                         for seq, state in level for a in range(A2.size)
+                         if not chained or A2.left_idem[a] == state]
+    return out
+
+
+def reference_structure(M):
+    """(defect table, witness, positions) of the relation swept over the
+    positions of arity <= 2K, chained ones only for a chained table; the
+    witness is the failure with the fewest inputs, then the least key."""
+    positions = input_positions(M, 2 * M.arity_bound, M.is_chained)
+    table = {}
+    for x, seq in positions:
+        defect = reference_defect(M, x, seq)
+        if defect:
+            table[(x, seq)] = defect
+    witness = None
+    if table:
+        x, seq = min(table, key=lambda k: (len(k[1]), k))
+        witness = named_entry(M, M, x, seq, table[(x, seq)])
+    return table, witness, len(positions)
 
 
 # --- random morphisms ---------------------------------------------------------

@@ -10,9 +10,11 @@ from strandcalc.bimodules import (arity_zero_complex, check_structure,
                                   make_bimodule)
 from strandcalc.circles import torus_circle
 from strandcalc.errors import IdempotentMismatch, NotAComplex, UnknownSymbol
+from strandcalc.morphisms import DAMorphism, compose, morphism_differential
 from strandcalc.strands import DGAlgebra, build_dga
 
-from helpers import direct_Dn
+from helpers import (chained_coords, direct_Dn, random_chained_table,
+                     random_unchained_table, reference_structure)
 
 A = build_dga(torus_circle(), label="A")
 I = identity_bimodule(A, label="I")
@@ -127,6 +129,77 @@ class TestCheckStructure:
                 assert check_structure(M).passed
             else:
                 assert not check_structure(M).passed
+
+
+def assert_matches_reference(M):
+    """check_structure agrees with the relation swept one input sequence
+    at a time: same defect table, verdict, witness and position count."""
+    table, witness, positions = reference_structure(M)
+    D = DAMorphism(M, M, M.table)
+    assert (morphism_differential(D) + compose(D, D)).table == table
+    report = check_structure(M)
+    assert report.passed == (not table)
+    assert report.witness == witness
+    assert report.tested == positions
+    assert report.max_arity == 2 * M.arity_bound and report.complete
+    assert report.restricted_to_chained == M.is_chained
+    return report
+
+
+class TestStructureReference:
+    GENS = [(g.name, g.left, g.right) for g in I.gens]
+
+    def test_single_bit_mutants(self):
+        # the criterion-3 universe: flip one output bit of the identity
+        # table, or add one chained arity-<=1 output it lacks
+        universe = [(key, out) for key in sorted(I.d1)
+                    for out in sorted(I.d1[key])]
+        universe += [((x, seq), out) for x, seq, out in chained_coords(I, I, 1)
+                     if out not in I.d1.get((x, seq), frozenset())]
+        failing = 0
+        for key, out in universe:
+            table = {k: set(v) for k, v in I.d1.items()}
+            table.setdefault(key, set())
+            table[key] ^= {out}
+            M = make_bimodule(A, A, self.GENS, table)
+            failing += not assert_matches_reference(M).passed
+        assert (len(universe), failing) == (80, 74)
+
+    def test_random_unchained_tables(self):
+        rng = Random(12)
+        unchained = 0
+        for t in range(40):
+            table = dict(random_unchained_table(rng, I, I, 1,
+                                                rng.randrange(1, 4)).table)
+            if t % 2:
+                for k, v in I.d1.items():
+                    table[k] = table.get(k, frozenset()) ^ v
+            M = make_bimodule(A, A, self.GENS, table)
+            unchained += not M.is_chained
+            assert_matches_reference(M)
+        assert unchained >= 20
+
+    def test_identity_forced_unchained(self):
+        M = make_bimodule(A, A, self.GENS, I.d1)
+        M._chained = False  # sweep every sequence, not the chained ones
+        report = assert_matches_reference(M)
+        assert report.passed and report.tested == 1092
+
+    def test_generators_with_distinct_idempotents(self):
+        gens = [("x", I0, I1), ("y", I1, I1), ("w", I0, I0)]
+        base = make_bimodule(A, A, gens, {})
+        rng = Random(13)
+        for _ in range(20):
+            table = random_chained_table(rng, base, base, 1, 3).table
+            M = make_bimodule(A, A, gens, table)
+            assert M.is_chained
+            assert_matches_reference(M)
+
+    def test_tested_counts(self):
+        M2 = make_bimodule(A, A, [("u", I0, I0), ("v", I0, I0)],
+                           {(0, ()): [(I0, 1)]})
+        assert assert_matches_reference(I).tested == 100
+        assert assert_matches_reference(M2).tested == 2
 
 
 class TestIdentityBimodule:

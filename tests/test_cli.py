@@ -65,6 +65,17 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "boundaries_preserved: true" in proc.stdout
 
+    def test_negative_cap_is_two(self):
+        proc = run("morphism", "homotopic", "IDF", "DHID", "--cap", "-1")
+        assert proc.returncode == 2
+        assert "--cap" in proc.stderr and not proc.stdout
+
+    def test_budget_below_one_is_two(self):
+        for budget in ("0", "-3"):
+            proc = run("algebra", "verify", "A", "--budget", budget)
+            assert proc.returncode == 2
+            assert "--budget" in proc.stderr and not proc.stdout
+
     def test_invalid_circle_check_fails(self, tmp_path):
         doc = tmp_path / "degenerate.bhf"
         doc.write_text("PMC BAD GENUS 1 PAIRS (1 2) (3 4)\n")

@@ -1,13 +1,22 @@
 """The text format: parsing, diagnostics, serialization round-trips."""
 
-import pytest
+from random import Random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from strandcalc.bimodules import identity_bimodule, make_bimodule
+from strandcalc.circles import torus_circle
 from strandcalc.document import (bimodule_text, morphism_text,
                                  parse_document)
 from strandcalc.errors import (DocumentError, DuplicateName, ParseError,
                                UnresolvedReference)
 from strandcalc.morphisms import compose, same_shape
 from strandcalc.boxes import box_bimodules
+from strandcalc.strands import build_dga
+
+from helpers import random_chained_table
 
 MINIMAL = """\
 # the torus circle and its algebra
@@ -202,3 +211,29 @@ class TestTutorial:
         reparsed = doc2.get("C", "morphism")
         G = doc2.get("IDF", "morphism")
         assert reparsed == compose(G, G)
+
+
+class TestTableRoundTrip:
+    A = build_dga(torus_circle())
+    I = identity_bimodule(A)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), cap=st.integers(0, 3),
+           density=st.integers(0, 12))
+    def test_random_chained_tables(self, seed, cap, density):
+        I = self.I
+        F = random_chained_table(Random(seed), I, I, cap, density)
+        M = make_bimodule(self.A, self.A,
+                          [(g.name, g.left, g.right) for g in I.gens],
+                          F.table)
+        text = "\n".join([MINIMAL, bimodule_text("I", I, "A", "A"),
+                          bimodule_text("R", M, "A", "A"),
+                          morphism_text("G", F, "I", "I")]) + "\n"
+        doc = parse_document(text)
+        R, G = doc.get("R", "bimodule"), doc.get("G", "morphism")
+        assert R.d1 == M.d1
+        assert [(g.name, g.left, g.right) for g in R.gens] == \
+            [(g.name, g.left, g.right) for g in M.gens]
+        assert G.table == F.table
+        assert [g.name for g in G.source.gens] == \
+            [g.name for g in G.target.gens] == [g.name for g in I.gens]

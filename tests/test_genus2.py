@@ -3,15 +3,17 @@
 from random import Random
 
 from strandcalc import clf
-from strandcalc.bimodules import check_structure, homology, identity_bimodule
+from strandcalc.bimodules import (check_structure, homology,
+                                  identity_bimodule, make_bimodule)
 from strandcalc.circles import reverse, split_circle, torus_circle
 from strandcalc.morphisms import (HomotopyWitness, identity_morphism,
                                   is_closed, is_homotopic, make_morphism,
                                   morphism_differential, same_shape)
 from strandcalc.boxes import box_bimodules
-from strandcalc.strands import build_dga, verify_dga
+from strandcalc.strands import DGAlgebra, build_dga, verify_dga
 
-from helpers import random_chained_table
+from helpers import (input_positions, random_chained_table,
+                     reference_defect, reference_structure)
 
 A2 = build_dga(split_circle(2), label="A2")
 I2 = identity_bimodule(A2, label="I2")
@@ -28,12 +30,57 @@ class TestReversedCircles:
         assert rep.passed
 
 
+def test_materialize_counts_matched_pairs():
+    asked = []
+
+    def mult_fn(i, j):
+        asked.append((i, j))
+        return A2.product(i, j)
+
+    B = DGAlgebra(A2.basis_names, A2.idempotents, A2.left_idem,
+                  A2.right_idem, {}, mult_fn=mult_fn)
+    B.materialize()
+    assert len(asked) == len(set(asked)) == 24256
+    assert A2.size ** 2 == 473344
+
+
 class TestGenus2Bimodules:
     def test_identity_bimodule_structure_complete(self):
         rep = check_structure(I2)
         assert rep.passed
         assert rep.complete
         assert rep.max_arity == 2
+
+    def test_identity_structure_matches_reference(self):
+        table, witness, positions = reference_structure(I2)
+        rep = check_structure(I2)
+        assert not table and witness is None
+        assert rep.tested == positions == 24960
+
+    def test_unchained_entry(self):
+        # one D1 entry whose input starts at the wrong idempotent: the
+        # relation now ranges over all 16 * (1 + 688 + 688^2) positions of
+        # arity <= 2, and fails first at arity 2
+        x = I2.gen_index("h(1 3)h(5 7)")
+        table = dict(I2.d1)
+        table[(x, (A2.index("h(2 4)h(6 8)"),))] = \
+            frozenset(((I2.gens[x].left, x),))
+        M = make_bimodule(A2, A2, [(g.name, g.left, g.right)
+                                   for g in I2.gens], table)
+        rep = check_structure(M)
+        assert not M.is_chained and not rep.restricted_to_chained
+        assert rep.tested == 16 * (1 + 688 + 688 ** 2) == 7584528
+        assert not rep.passed
+        assert rep.witness == ("h(1 3)h(2 4)",
+                               ("r[1-3]r[2-5]", "h(2 4)h(6 8)"),
+                               ("r[1-3]r[2-5] : h(1 3)h(5 7)",))
+        gen = M.gen_index(rep.witness[0])
+        seq = tuple(A2.index(a) for a in rep.witness[1])
+        assert {f"{A2.name(b)} : {M.gens[y].name}"
+                for b, y in reference_defect(M, gen, seq)} \
+            == set(rep.witness[2])
+        assert not any(reference_defect(M, y, s)
+                       for y, s in input_positions(M, 1, chained=False))
 
     def test_identity_box_identity(self):
         B = box_bimodules(I2, I2)

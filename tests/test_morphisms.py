@@ -150,6 +150,12 @@ class TestIsHomotopic:
         with pytest.raises(BimoduleMismatch):
             is_homotopic(identity_morphism(M), ID, 1)
 
+    @pytest.mark.parametrize("G", [ID, ZERO], ids=["equal", "different"])
+    def test_negative_cap_rejected(self, G):
+        # checked before the shortcut for equal morphisms
+        with pytest.raises(ValueError):
+            is_homotopic(ID, G, -1)
+
 
 class TestInducedOnHomology:
     def test_identity_induces_identity(self):

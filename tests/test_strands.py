@@ -125,6 +125,44 @@ class TestBuildDGA:
         assert report.check("d_squared").exhaustive
         assert not report.check("leibniz").exhaustive
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError):
+            verify_dga(build_dga(T), budget)
+
+    def test_materialize_asks_only_matched_pairs(self):
+        # a closure-backed copy of the torus algebra: materialize asks for
+        # the idempotent-matched pairs only, and the factor indexes equal
+        # the ones read off all 16^2 products
+        A = build_dga(T)
+        asked = []
+
+        def mult_fn(i, j):
+            asked.append((i, j))
+            return A.product(i, j)
+
+        B = DGAlgebra(A.basis_names, A.idempotents, A.left_idem,
+                      A.right_idem, {i: A.d(i) for i in range(A.size)},
+                      mult_fn=mult_fn)
+        B.materialize()
+        n = A.size
+        assert sorted(asked) == [(i, j) for i in range(n) for j in range(n)
+                                 if A.right_idem[i] == A.left_idem[j]]
+        coproduct, left, right = {}, {}, {}
+        for u in range(n):
+            for v in range(n):
+                for w in A.product(u, v):
+                    coproduct.setdefault(w, []).append((u, v))
+                    left.setdefault((w, v), []).append(u)
+                    right.setdefault((w, u), []).append(v)
+        assert B.coproduct_index == {k: tuple(sorted(v))
+                                     for k, v in coproduct.items()}
+        assert B.left_factor_index == {k: tuple(sorted(v))
+                                       for k, v in left.items()}
+        assert B.right_factor_index == {k: tuple(sorted(v))
+                                        for k, v in right.items()}
+        assert len(asked) == len(set(asked)) < n * n
+
     def test_idempotents_of_products(self):
         A = build_dga(T)
         # products respect idempotents: source of product = source of left
