@@ -156,9 +156,14 @@ class TypeDABimodule(DATable):
 
 def sandwiched(A: DGAlgebra, i: int, b: int, j: int) -> bool:
     """True when i . b . j = b: an output b (x) y at x is legal exactly
-    when this holds for i = iL(x), j = iL(y)."""
-    return A.product_elements(A.product(i, b), frozenset((j,))) \
-        == frozenset((b,))
+    when this holds for i = iL(x), j = iL(y).  Each answer is computed
+    once and kept in A's memo, which therefore holds at most one entry per
+    distinct (i, b, j) asked about A."""
+    got = A.sandwich_memo.get((i, b, j))
+    if got is None:
+        got = A.sandwich_memo[i, b, j] = A.product_elements(
+            A.product(i, b), frozenset((j,))) == frozenset((b,))
+    return got
 
 
 def named_entry(M: TypeDABimodule, N: TypeDABimodule, x: int,

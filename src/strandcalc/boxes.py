@@ -22,6 +22,8 @@ a single application of F's table, and I . G routes the inputs through
 M-iterates, exactly one application of G, then M'-iterates, feeding the
 concatenated A2 chain into N's table once.  F . G is the composition
 (I . G) o (F . I), matching the 2-functor conventions used elsewhere.
+Each call builds each distinct box bimodule it needs once, matching
+factors by object identity.
 """
 
 from __future__ import annotations
@@ -141,27 +143,36 @@ def box_bimodules(N: TypeDABimodule, M: TypeDABimodule,
 
 def box_morphism_left(F: DAMorphism, M: TypeDABimodule,
                       step_budget: int | None = None) -> DAMorphism:
-    """F . I : (N . M) -> (N' . M) for F : N -> N'."""
-    table = _box_left(F, F.source, F.target, M, step_budget)
-    return make_morphism(box_bimodules(F.source, M, step_budget),
-                         box_bimodules(F.target, M, step_budget), table,
+    """F . I : (N . M) -> (N' . M) for F : N -> N'; builds N . M once
+    when N is N'."""
+    source = box_bimodules(F.source, M, step_budget)
+    target = (source if F.target is F.source
+              else box_bimodules(F.target, M, step_budget))
+    return make_morphism(source, target,
+                         _box_left(F, F.source, F.target, M, step_budget),
                          label=f"{F.label}.id" if F.label else "")
 
 
 def box_morphism_right(N: TypeDABimodule, G: DAMorphism,
                        step_budget: int | None = None) -> DAMorphism:
-    """I . G : (N . M) -> (N . M') for G : M -> M'."""
+    """I . G : (N . M) -> (N . M') for G : M -> M'; builds N . M once
+    when M is M'."""
     table = _box_table(N, N, N, G.source, G.target,
                        lambda j, steps: _morphism_chain_states(
                            G, j, N.arity_bound, step_budget, steps))
-    return make_morphism(box_bimodules(N, G.source, step_budget),
-                         box_bimodules(N, G.target, step_budget), table,
+    source = box_bimodules(N, G.source, step_budget)
+    target = (source if G.target is G.source
+              else box_bimodules(N, G.target, step_budget))
+    return make_morphism(source, target, table,
                          label=f"id.{G.label}" if G.label else "")
 
 
 def box_morphisms(F: DAMorphism, G: DAMorphism,
                   step_budget: int | None = None) -> DAMorphism:
-    """F . G = (I . G) o (F . I)."""
-    left = box_morphism_left(F, G.source, step_budget)
+    """F . G = (I . G) o (F . I), building each distinct one of
+    F.source . G.source, F.target . G.source and F.target . G.target once."""
     right = box_morphism_right(F.target, G, step_budget)
-    return compose(right, left)
+    source = (right.source if F.source is F.target
+              else box_bimodules(F.source, G.source, step_budget))
+    return compose(right, make_morphism(source, right.source, _box_left(
+        F, F.source, F.target, G.source, step_budget)))

@@ -38,7 +38,7 @@ composition to composition.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
 from .bimodules import TypeDABimodule, identity_bimodule
@@ -259,17 +259,23 @@ class CritLeaf(CLFExpression):
 
 
 @dataclass(frozen=True)
-class HComp(CLFExpression):
-    """Horizontal composition of two or more parts, left to right."""
+class _Composition(CLFExpression):
+    """Two or more parts and the circle labels of the outer edges, which
+    compose_h and compose_v set; equality and hashing see the parts only."""
 
     parts: tuple
+    left_pmc: str | None = field(default=None, compare=False, repr=False)
+    right_pmc: str | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class VComp(CLFExpression):
-    """Vertical composition of two or more parts, bottom to top."""
+class HComp(_Composition):
+    """Horizontal composition, left to right; the edge labels are those of
+    the first and last parts."""
 
-    parts: tuple
+
+class VComp(_Composition):
+    """Vertical composition, bottom to top; each edge label is the first
+    one declared on that side by any part."""
 
 
 def _parts(expr: CLFExpression, kind: type) -> tuple:
@@ -301,28 +307,18 @@ def resulting_word(expr: CLFExpression) -> Word:
 
 
 def left_pmc(expr: CLFExpression) -> str | None:
-    if isinstance(expr, IdentityLeaf):
-        return expr.left_pmc
     if isinstance(expr, CritLeaf):
         return expr.clf.left_pmc
-    if isinstance(expr, HComp):
-        return left_pmc(expr.parts[0])
-    if isinstance(expr, VComp):
-        return next((l for l in map(left_pmc, expr.parts)
-                     if l is not None), None)
+    if isinstance(expr, (IdentityLeaf, _Composition)):
+        return expr.left_pmc
     raise TypeError(type(expr).__name__)
 
 
 def right_pmc(expr: CLFExpression) -> str | None:
-    if isinstance(expr, IdentityLeaf):
-        return expr.right_pmc
     if isinstance(expr, CritLeaf):
         return expr.clf.right_pmc
-    if isinstance(expr, HComp):
-        return right_pmc(expr.parts[-1])
-    if isinstance(expr, VComp):
-        return next((l for l in map(right_pmc, expr.parts)
-                     if l is not None), None)
+    if isinstance(expr, (IdentityLeaf, _Composition)):
+        return expr.right_pmc
     raise TypeError(type(expr).__name__)
 
 
@@ -332,7 +328,8 @@ def compose_h(e1: CLFExpression, e2: CLFExpression) -> HComp:
     if r is not None and l is not None and r != l:
         raise BoundaryMismatch(
             f"right edge {r!r} does not match left edge {l!r}")
-    return HComp(_parts(e1, HComp) + _parts(e2, HComp))
+    return HComp(_parts(e1, HComp) + _parts(e2, HComp),
+                 left_pmc(e1), right_pmc(e2))
 
 
 def compose_v(bottom: CLFExpression, top: CLFExpression) -> VComp:
@@ -342,12 +339,14 @@ def compose_v(bottom: CLFExpression, top: CLFExpression) -> VComp:
         raise BoundaryMismatch(
             f"resulting word {word_str(mid_b)} does not match "
             f"initial word {word_str(mid_t)}")
+    labels = []
     for side, a, b in (("left", left_pmc(bottom), left_pmc(top)),
                        ("right", right_pmc(bottom), right_pmc(top))):
         if a is not None and b is not None and a != b:
             raise BoundaryMismatch(
                 f"{side} circles {a!r} and {b!r} differ")
-    return VComp(_parts(bottom, VComp) + _parts(top, VComp))
+        labels.append(b if a is None else a)
+    return VComp(_parts(bottom, VComp) + _parts(top, VComp), *labels)
 
 
 def same_boundaries(e1: CLFExpression, e2: CLFExpression) -> bool:

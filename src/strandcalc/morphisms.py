@@ -51,12 +51,12 @@ def same_shape(P: TypeDABimodule, Q: TypeDABimodule) -> bool:
     Generator names are labels only; two bimodules with equal index data
     are interchangeable everywhere.
     """
-    return (P.left_algebra is Q.left_algebra
-            and P.right_algebra is Q.right_algebra
-            and len(P.gens) == len(Q.gens)
-            and all(p.left == q.left and p.right == q.right
-                    for p, q in zip(P.gens, Q.gens))
-            and P.d1 == Q.d1)
+    return P is Q or (P.left_algebra is Q.left_algebra
+                      and P.right_algebra is Q.right_algebra
+                      and len(P.gens) == len(Q.gens)
+                      and all(p.left == q.left and p.right == q.right
+                              for p, q in zip(P.gens, Q.gens))
+                      and P.d1 == Q.d1)
 
 
 class DAMorphism(DATable):

@@ -301,6 +301,7 @@ class DGAlgebra:
     demand; missing entries mean zero.  Such a closure must give zero
     unless the right idempotent of the left factor is the left idempotent
     of the right factor: materialize asks it only for those matched pairs.
+    sandwich_memo keeps the answers of bimodules.sandwiched.
     """
 
     def __init__(self, basis_names, idempotents, left_idem, right_idem,
@@ -318,6 +319,7 @@ class DGAlgebra:
         self._index = {n: i for i, n in enumerate(self.basis_names)}
         self._codiff = None
         self._factor_indexes = None
+        self.sandwich_memo: dict[tuple[int, int, int], bool] = {}
         n = self.size
         if len(self.left_idem) != n or len(self.right_idem) != n:
             raise ValueError("idempotent assignment length mismatch")

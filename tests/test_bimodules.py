@@ -7,7 +7,7 @@ import pytest
 from strandcalc import f2
 from strandcalc.bimodules import (arity_zero_complex, check_structure,
                                   compute_Dn, homology, identity_bimodule,
-                                  make_bimodule)
+                                  make_bimodule, sandwiched)
 from strandcalc.circles import torus_circle
 from strandcalc.errors import IdempotentMismatch, NotAComplex, UnknownSymbol
 from strandcalc.morphisms import DAMorphism, compose, morphism_differential
@@ -51,6 +51,60 @@ class TestMakeBimodule:
             make_bimodule(A, A, [("x", I0, I0)], {(3, ()): [(I0, 0)]})
         with pytest.raises(UnknownSymbol):
             make_bimodule(A, A, [("x", R1, I0)], {})
+
+    @pytest.mark.parametrize("table,error,message", [
+        ({(0, ()): [(R2, 0)]}, IdempotentMismatch,
+         "output r[2-3] : x at (x, arity 0) violates left-idempotent "
+         "compatibility"),
+        ({(1, ()): [(I0, 0)]}, UnknownSymbol,
+         "unknown source generator index 1"),
+        ({(0, (A.size,)): [(I0, 0)]}, UnknownSymbol,
+         f"unknown right-algebra index {A.size}"),
+        ({(0, ()): [(-1, 0)]}, UnknownSymbol,
+         "unknown left-algebra index -1"),
+        ({(0, ()): [(I0, 2)]}, UnknownSymbol,
+         "unknown target generator index 2"),
+    ])
+    def test_rejection_messages(self, table, error, message):
+        with pytest.raises(error) as info:
+            make_bimodule(A, A, [("x", I0, I0)], table)
+        assert str(info.value) == message
+
+
+def hand_written_algebras():
+    """The small algebras of the verify_dga and identity-bimodule failure
+    tests: a d^2 != 0 algebra on one idempotent and a Leibniz-violating
+    one on two."""
+    return [
+        DGAlgebra(("i", "x", "y"), (0,), (0, 0, 0), (0, 0, 0),
+                  {1: frozenset((2,)), 2: frozenset((1,))},
+                  mult={(0, 0): frozenset((0,)),
+                        (0, 1): frozenset((1,)), (1, 0): frozenset((1,)),
+                        (0, 2): frozenset((2,)), (2, 0): frozenset((2,))}),
+        DGAlgebra(("i", "k", "x", "y"), (0, 1), (0, 1, 0, 1), (0, 1, 1, 0),
+                  {2: frozenset((3,))},
+                  mult={(0, 0): frozenset((0,)), (1, 1): frozenset((1,)),
+                        (0, 2): frozenset((2,)), (2, 1): frozenset((2,)),
+                        (1, 3): frozenset((3,)), (3, 0): frozenset((3,))}),
+    ]
+
+
+class TestSandwiched:
+    @pytest.mark.parametrize("algebra", [
+        A, build_dga(torus_circle()), *hand_written_algebras()])
+    def test_agrees_with_products(self, algebra):
+        # every triple twice: the second answer comes from the memo
+        n = algebra.size
+        triples = [(i, b, j) for i in range(n) for b in range(n)
+                   for j in range(n)]
+        for _ in range(2):
+            for i, b, j in triples:
+                exact = algebra.product_elements(
+                    algebra.product(i, b), frozenset((j,))) == {b}
+                assert sandwiched(algebra, i, b, j) is exact
+        assert any(sandwiched(algebra, *t) for t in triples)
+        assert not all(sandwiched(algebra, *t) for t in triples)
+        assert len(algebra.sandwich_memo) <= len(triples)
 
 
 class TestComputeDn:

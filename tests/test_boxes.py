@@ -4,13 +4,15 @@ from random import Random
 
 import pytest
 
+from strandcalc import boxes
 from strandcalc.bimodules import (check_structure, homology,
                                   identity_bimodule, make_bimodule)
-from strandcalc.circles import torus_circle
+from strandcalc.circles import split_circle, torus_circle
 from strandcalc.errors import MiddleAlgebraMismatch, NonConverging
-from strandcalc.morphisms import (compose, identity_morphism, is_closed,
-                                  is_homotopic, morphism_differential,
-                                  same_shape, zero_morphism)
+from strandcalc.morphisms import (DAMorphism, compose, identity_morphism,
+                                  is_closed, is_homotopic,
+                                  morphism_differential, same_shape,
+                                  zero_morphism)
 from strandcalc.boxes import (box_bimodules, box_morphism_left,
                               box_morphism_right, box_morphisms)
 from strandcalc.strands import build_dga
@@ -192,6 +194,79 @@ class TestBoxMorphisms:
             rhs = compose(box_morphisms(F2, G2), box_morphisms(F, G))
             result = is_homotopic(lhs, rhs, 4)
             assert result
+
+
+def retargeted(F, source, target):
+    """F's table read as a morphism from source to target."""
+    return DAMorphism(source, target, F.table, label=F.label)
+
+
+class TestBoxBuilds:
+    """Each distinct box bimodule is built once per call, matched by
+    object identity; J and K are copies of I with the same shape."""
+
+    J = identity_bimodule(A, label="J")
+    K = identity_bimodule(A, label="K")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = boxes.box_bimodules
+
+        def counted(N, M, *args, **kwargs):
+            seen.append((N.label, M.label))
+            return real(N, M, *args, **kwargs)
+        monkeypatch.setattr(boxes, "box_bimodules", counted)
+        return seen
+
+    def test_endomorphisms_build_one_box(self, calls):
+        rng = Random(40)
+        F, G = rand_closed(rng), rand_closed(rng)
+        box_morphisms(F, G)
+        assert calls == [("I", "I")]
+        box_morphism_left(F, I)
+        box_morphism_right(I, G)
+        assert calls == [("I", "I")] * 3
+
+    def test_distinct_bimodules_build_three_boxes(self, calls):
+        rng = Random(41)
+        F = retargeted(rand_closed(rng), I, self.J)
+        G = retargeted(rand_closed(rng), I, self.K)
+        box_morphisms(F, G)
+        assert sorted(calls) == [("I", "I"), ("J", "I"), ("J", "K")]
+        del calls[:]
+        box_morphism_left(F, I)
+        box_morphism_right(I, G)
+        assert calls == [("I", "I"), ("J", "I"), ("I", "I"), ("I", "K")]
+
+    @staticmethod
+    def assert_identical(F, G):
+        assert F.table == G.table and F.label == G.label
+        for P, Q in ((F.source, G.source), (F.target, G.target)):
+            assert same_shape(P, Q) and P.label == Q.label
+            assert [g.name for g in P.gens] == [g.name for g in Q.gens]
+
+    def test_matches_composite_of_one_sided_boxes(self):
+        rng = Random(42)
+        for _ in range(5):
+            F = retargeted(rand_closed(rng), I, self.J)
+            G = retargeted(rand_closed(rng), I, self.K)
+            for F_, G_ in ((F, G), (rand_closed(rng), rand_closed(rng))):
+                self.assert_identical(
+                    box_morphisms(F_, G_),
+                    compose(box_morphism_right(F_.target, G_),
+                            box_morphism_left(F_, G_.source)))
+
+    def test_matches_composite_on_genus_two(self):
+        A2 = build_dga(split_circle(2), label="A2")
+        I2 = identity_bimodule(A2, label="I2")
+        rng = Random(43)
+        F, G = (identity_morphism(I2)
+                + random_chained_table(rng, I2, I2, 1, 6) for _ in range(2))
+        FG = box_morphisms(F, G)
+        assert FG.table != identity_morphism(FG.source).table
+        self.assert_identical(FG, compose(box_morphism_right(I2, G),
+                                          box_morphism_left(F, I2)))
 
 
 class TestPairingSanity:

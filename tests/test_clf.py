@@ -1,5 +1,6 @@
 """The decomposition calculus: words, rewrites, evaluation."""
 
+import time
 from random import Random
 
 import pytest
@@ -115,6 +116,23 @@ class TestCompose:
         with pytest.raises(BoundaryMismatch):
             compose_h(left, right)
         compose_h(left, IdentityLeaf(B_LET, left_pmc="c1"))
+
+    def test_labels_stored_on_nodes(self):
+        # H takes its outer parts' labels, V the first declared on each
+        # side; the stored labels take no part in equality or hashing
+        h = compose_h(compose_h(IdentityLeaf(A_LET, left_pmc="c0"),
+                                IdentityLeaf(B_LET)),
+                      IdentityLeaf(A_LET, right_pmc="c2"))
+        assert (clf.left_pmc(h), clf.right_pmc(h)) == ("c0", "c2")
+        a = IdentityLeaf(A_LET)
+        v = compose_v(compose_v(a, IdentityLeaf(A_LET, right_pmc="r")),
+                      compose_h(IdentityLeaf(A_LET, left_pmc="l"),
+                                IdentityLeaf(EMPTY_WORD)))
+        assert (clf.left_pmc(v), clf.right_pmc(v)) == ("l", "r")
+        assert v == VComp(v.parts) and hash(v) == hash(VComp(v.parts))
+        assert h == HComp(h.parts) and hash(h) == hash(HComp(h.parts))
+        with pytest.raises(BoundaryMismatch):
+            compose_v(v, IdentityLeaf(A_LET, right_pmc="s"))
 
 
 # --- rewrites ------------------------------------------------------------------
@@ -327,6 +345,22 @@ class TestExpressionText:
         assert words_equal(resulting_word(flat), resulting_word(expr))
         F = evaluate(expr, toy_assignment())
         assert F.table == identity_morphism(F.source).table
+
+    def test_vertical_chain_parses_as_fast_as_horizontal(self):
+        # compose_v reads the stored labels of its two sides instead of
+        # scanning every part, so building a chain link by link is linear
+        texts = {}
+        for head in "HV":
+            texts[head] = "ID(a)"
+            for _ in range(2000):
+                texts[head] = f"{head}({texts[head]}, ID(a))"
+        best = {"H": float("inf"), "V": float("inf")}
+        for _ in range(3):
+            for head, text in texts.items():
+                start = time.perf_counter()
+                parse_expression(text)
+                best[head] = min(best[head], time.perf_counter() - start)
+        assert best["V"] <= 2 * best["H"]
 
     @pytest.mark.parametrize("text,column", [
         ("H(ID(a), ID(q?))", 13),

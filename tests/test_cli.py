@@ -160,3 +160,12 @@ class TestDeterminism:
         threaded = run("--threads", "4", "algebra", "verify", "A",
                        "--budget", "1000")
         assert base.stdout == threaded.stdout
+
+    def test_threads_warns(self):
+        base = run("algebra", "build", "A")
+        threaded = run("--threads", "2", "algebra", "build", "A")
+        assert threaded.stdout == base.stdout
+        assert threaded.returncode == base.returncode == 0
+        assert base.stderr == ""
+        assert threaded.stderr == \
+            "warning: --threads is ignored and will be removed\n"
