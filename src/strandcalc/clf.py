@@ -571,6 +571,7 @@ def expression_str(expr: CLFExpression) -> str:
 
 _OPEN = re.compile(r"\s*(ID|CRIT|H|V)\(")
 _NEXT = re.compile(r"\s*(.?)")
+MAX_ALTERNATION = 100
 
 
 def parse_expression(text: str, line: int | None = None,
@@ -581,9 +582,10 @@ def parse_expression(text: str, line: int | None = None,
     nesting depth costs no recursion: a ',' stores a frame's first
     argument and its ')' composes the two.  A leaf ends at its first ')',
     since words bracket only with [...].  Errors carry col plus the
-    offset of the offending character.
+    offset of the offending character.  H and V nodes may alternate at
+    most MAX_ALTERNATION deep, since the tree walks recurse per node.
     """
-    frames: list[list] = []  # [head, first argument or None]
+    frames: list[list] = []  # [head, first argument or None, node depth]
     i = 0
     while True:
         m = _OPEN.match(text, i)
@@ -593,7 +595,11 @@ def parse_expression(text: str, line: int | None = None,
                              line, col + i)
         head, i = m.group(1), m.end()
         if head in ("H", "V"):
-            frames.append([head, None])
+            depth = frames[-1][2] + (frames[-1][0] != head) if frames else 1
+            if depth > MAX_ALTERNATION:
+                raise ParseError(f"H/V nesting deeper than {MAX_ALTERNATION}",
+                                 line, col + m.start(1))
+            frames.append([head, None, depth])
             continue
         close = text.find(")", i)
         if close < 0:
@@ -608,7 +614,7 @@ def parse_expression(text: str, line: int | None = None,
                     raise ParseError(f"trailing input {text[at:].strip()!r}",
                                      line, col + at)
                 return expr
-            head, first = frames[-1]
+            head, first, _ = frames[-1]
             if sep == "," and first is None:
                 frames[-1][1] = expr
                 break

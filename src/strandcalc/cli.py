@@ -259,9 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="document file to run against")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text")
-    parser.add_argument("--threads", type=int,
-                        help="deprecated and ignored (a warning on "
-                             "stderr); verification runs in one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pmc", help="check a pointed matched circle")
@@ -320,9 +317,6 @@ def run_command(doc: docmod.Document, args) -> CommandResult:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        print("warning: --threads is ignored and will be removed",
-              file=sys.stderr)
     try:
         with open(args.file, encoding="utf-8") as handle:
             text = handle.read()

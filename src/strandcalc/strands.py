@@ -41,6 +41,7 @@ from .circles import PointedMatchedCircle
 
 # A GF(2) combination of diagrams is just a frozenset (duplicates cancel).
 AlgebraElement = frozenset
+EMPTY: frozenset = frozenset()
 
 Primitive = tuple[tuple[int, int], ...]
 
@@ -122,9 +123,8 @@ def expansions(d: StrandDiagram) -> tuple[Primitive, ...]:
 
 
 def _concat(p: Primitive, q: Primitive) -> Primitive | None:
-    """Concatenate primitives, or None on mismatch or a double crossing."""
-    if sorted(t for _, t in p) != sorted(s for s, _ in q):
-        return None
+    """Concatenate primitives whose endpoints meet (the targets of p are
+    the sources of q), or None on a double crossing."""
     follow = dict(q)
     triples = [(s, t, follow[t]) for s, t in p]  # already sorted by s
     n = len(triples)
@@ -193,22 +193,38 @@ def _regroup(c: PointedMatchedCircle, prims: set[Primitive]) -> frozenset:
 
 # --- algebra operations --------------------------------------------------
 
+def _keyed(d: StrandDiagram) -> tuple[dict, dict]:
+    """d's expansions keyed by sorted source points and by sorted target
+    points; both are unique, as no horizontal pair meets an endpoint."""
+    prims = expansions(d)
+    return ({tuple(s for s, _ in p): p for p in prims},
+            {tuple(sorted(t for _, t in p)): p for p in prims})
+
+
+def _keyed_product(c: PointedMatchedCircle, a: tuple[dict, dict],
+                   b: tuple[dict, dict]) -> frozenset:
+    """Product of two diagrams given by their _keyed tables: an expansion
+    of a meets only the expansion of b whose sources are its targets."""
+    acc: set[Primitive] = set()
+    for key, p in a[1].items():
+        q = b[0].get(key)
+        if q is not None:
+            comp = _concat(p, q)
+            if comp is not None:
+                acc ^= {comp}
+    return _regroup(c, acc) if acc else EMPTY
+
+
 def multiply(c: PointedMatchedCircle, a: StrandDiagram,
              b: StrandDiagram) -> frozenset:
     """Product of two diagrams as a GF(2) set of diagrams.
 
     Zero (the empty set) when the target idempotent of a differs from the
-    source idempotent of b, and whenever no expansion concatenates.
+    source idempotent of b, and whenever no expansions meet and concatenate.
     """
     if target_idem(c, a) != source_idem(c, b):
-        return frozenset()
-    acc: set[Primitive] = set()
-    for p in expansions(a):
-        for q in expansions(b):
-            comp = _concat(p, q)
-            if comp is not None:
-                acc ^= {comp}
-    return _regroup(c, acc)
+        return EMPTY
+    return _keyed_product(c, _keyed(a), _keyed(b))
 
 
 def differential(c: PointedMatchedCircle, a: StrandDiagram) -> frozenset:
@@ -289,8 +305,6 @@ def parse_diagram_name(name: str) -> StrandDiagram:
 
 # --- packaged differential graded algebras -------------------------------
 
-EMPTY: frozenset = frozenset()
-
 
 class DGAlgebra:
     """A finite-basis differential graded algebra over GF(2).
@@ -300,7 +314,8 @@ class DGAlgebra:
     The multiplication table may be backed by a closure and filled on
     demand; missing entries mean zero.  Such a closure must give zero
     unless the right idempotent of the left factor is the left idempotent
-    of the right factor: materialize asks it only for those matched pairs.
+    of the right factor: product answers every other pair with zero
+    without asking the closure or caching it (mult tables are read as is).
     sandwich_memo keeps the answers of bimodules.sandwiched.
     """
 
@@ -346,7 +361,8 @@ class DGAlgebra:
     def product(self, i: int, j: int) -> frozenset:
         got = self._mult.get((i, j))
         if got is None:
-            if self._mult_fn is None:
+            if (self._mult_fn is None
+                    or self.right_idem[i] != self.left_idem[j]):
                 return EMPTY
             got = self._mult_fn(i, j)
             self._mult[(i, j)] = got
@@ -369,7 +385,7 @@ class DGAlgebra:
 
     def materialize(self) -> None:
         """Fill the product table on every idempotent-matched pair; the
-        products of all other pairs are zero."""
+        products of all other pairs are zero and never stored."""
         if self._materialized:
             return
         by_left: dict[int, list[int]] = {}
@@ -451,10 +467,11 @@ def build_dga(c: PointedMatchedCircle, label: str = "") -> DGAlgebra:
     """Package the strand algebra of c as a DGAlgebra.
 
     The basis is enumerate_basis(c); the differential table is filled
-    eagerly, products on first use.  Products and differentials preserve
-    source/target idempotents by construction; the constructor's scan sees
-    the differential table (no product is computed yet) and flags the
-    algebra idempotent-graded.
+    eagerly, products on first use through _keyed_product, with each
+    element's _keyed table built when first needed.  Products and
+    differentials preserve source/target idempotents by construction; the
+    constructor's scan sees the differential table (no product is computed
+    yet) and flags the algebra idempotent-graded.
     """
     basis = enumerate_basis(c)
     names = [diagram_name(d) for d in basis]
@@ -471,8 +488,10 @@ def build_dga(c: PointedMatchedCircle, label: str = "") -> DGAlgebra:
         if terms:
             diff[i] = frozenset(index[t] for t in terms)
 
+    key = lru_cache(maxsize=None)(lambda i: _keyed(basis[i]))
+
     def mult_fn(i: int, j: int) -> frozenset:
-        return frozenset(index[t] for t in multiply(c, basis[i], basis[j]))
+        return frozenset(index[t] for t in _keyed_product(c, key(i), key(j)))
 
     idempotents = sorted(idem_index.values())
     return DGAlgebra(names, idempotents, left, right, diff,

@@ -2,10 +2,11 @@
 
 Everything here is written independently of the library internals it
 checks: the dense GF(2) oracle uses numpy row reduction, the diagram
-oracle enumerates raw endpoint subsets, the structure-map oracle
-evaluates the recursion as an explicit sum over ordered splittings, and
-the structure-relation reference evaluates the relation one input
-sequence at a time.
+oracle enumerates raw endpoint subsets, the product reference tries
+every pair of expansions, the structure-map oracle evaluates the
+recursion as an explicit sum over ordered splittings, and the
+structure-relation reference evaluates the relation one input sequence
+at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import numpy as np
 from strandcalc import f2
 from strandcalc.bimodules import compute_Dn, named_entry, sandwiched
 from strandcalc.morphisms import DAMorphism
+from strandcalc.strands import (_concat, _regroup, expansions, source_idem,
+                                target_idem)
 
 # --- dense GF(2) oracle (numpy) -------------------------------------------
 
@@ -174,6 +177,23 @@ def brute_force_diagrams(circle):
                         for horiz in itertools.combinations(free, r):
                             found.add((strands, tuple(sorted(horiz))))
     return found
+
+
+def ref_multiply(circle, a, b):
+    """The product of two diagrams by the definition: every pair of
+    expansions, concatenated when they meet, summed mod 2 and regrouped.
+    Zero when the idempotents do not match."""
+    if target_idem(circle, a) != source_idem(circle, b):
+        return frozenset()
+    acc = set()
+    for p in expansions(a):
+        for q in expansions(b):
+            if sorted(t for _, t in p) != sorted(s for s, _ in q):
+                continue
+            comp = _concat(p, q)
+            if comp is not None:
+                acc ^= {comp}
+    return _regroup(circle, acc)
 
 
 # --- structure map oracle ----------------------------------------------------

@@ -341,33 +341,30 @@ GOLDEN_COMMANDS = [
 ]
 
 
-def run_cli(args, threads=None):
+def run_cli(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src")
     argv = [sys.executable, "-m", "strandcalc.cli", "-f", TUTORIAL]
-    if threads:
-        argv += ["--threads", str(threads)]
     proc = subprocess.run(argv + args, capture_output=True, text=True,
                           env=env)
     return proc
 
 
 def test_criterion_10_cli_golden():
-    def full_run(threads=None):
+    def full_run():
         chunks = []
         for name, args in GOLDEN_COMMANDS:
-            proc = run_cli(args, threads=threads)
+            proc = run_cli(args)
             chunks.append(f"## {name} (exit {proc.returncode})\n"
                           + proc.stdout)
         return "".join(chunks)
 
     first = full_run()
     second = full_run()
-    threaded = full_run(threads=4)
     golden_path = os.path.join(GOLDEN_DIR, "tutorial.txt")
     with open(golden_path, encoding="utf-8") as handle:
         golden = handle.read()
-    ok = first == second == threaded == golden
+    ok = first == second == golden
     report(10, ok,
            f"{len(GOLDEN_COMMANDS)} tutorial commands byte-identical "
-           "across runs, thread counts, and the golden file")
+           "across runs and the golden file")

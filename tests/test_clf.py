@@ -346,6 +346,25 @@ class TestExpressionText:
         F = evaluate(expr, toy_assignment())
         assert F.table == identity_morphism(F.source).table
 
+    def test_alternation_limit(self):
+        # each V(H(.., ID(e)), ID(a)) wraps two alternating nodes; the walks
+        # recurse once per node, so the parser stops at MAX_ALTERNATION
+        text = "ID(a)"
+        for _ in range(clf.MAX_ALTERNATION // 2):
+            text = f"V(H({text}, ID(e)), ID(a))"
+        expr = parse_expression(text)
+        assert vcomp_count(expr) == clf.MAX_ALTERNATION // 2
+        flat = normalize_horizontal(expr)
+        assert words_equal(resulting_word(flat), resulting_word(expr))
+        assert evaluate(expr, toy_assignment()).table
+        # a V around the outer V joins it; an H around it is one node more,
+        # reported at the innermost H(
+        assert len(parse_expression(f"V(ID(a), {text})").parts) == 3
+        with pytest.raises(ParseError) as info:
+            parse_expression(f"H({text}, ID(b))", 3, 10)
+        assert (info.value.line, info.value.column) == \
+            (3, 10 + 2 * clf.MAX_ALTERNATION)
+
     def test_vertical_chain_parses_as_fast_as_horizontal(self):
         # compose_v reads the stored labels of its two sides instead of
         # scanning every part, so building a chain link by link is linear

@@ -10,10 +10,11 @@ from strandcalc.morphisms import (HomotopyWitness, identity_morphism,
                                   is_closed, is_homotopic, make_morphism,
                                   morphism_differential, same_shape)
 from strandcalc.boxes import box_bimodules
-from strandcalc.strands import DGAlgebra, build_dga, verify_dga
+from strandcalc.strands import (EMPTY, DGAlgebra, build_dga,
+                                enumerate_basis, multiply, verify_dga)
 
 from helpers import (input_positions, random_chained_table,
-                     reference_defect, reference_structure)
+                     reference_defect, reference_structure, ref_multiply)
 
 A2 = build_dga(split_circle(2), label="A2")
 I2 = identity_bimodule(A2, label="I2")
@@ -42,6 +43,36 @@ def test_materialize_counts_matched_pairs():
     B.materialize()
     assert len(asked) == len(set(asked)) == 24256
     assert A2.size ** 2 == 473344
+
+
+class TestGenus2Products:
+    def test_matched_pairs_match_reference(self):
+        c = split_circle(2)
+        basis = enumerate_basis(c)
+        matched = 0
+        for i, a in enumerate(basis):
+            for j, b in enumerate(basis):
+                if A2.right_idem[i] != A2.left_idem[j]:
+                    continue
+                matched += 1
+                want = ref_multiply(c, a, b)
+                assert multiply(c, a, b) == want
+                assert A2.product(i, j) == {A2.index(str(d)) for d in want}
+        assert matched == 24256
+
+    def test_unmatched_pairs_are_zero(self):
+        n = A2.size
+        for i in range(n):
+            r = A2.right_idem[i]
+            for j in range(n):
+                if A2.left_idem[j] != r:
+                    assert A2.product(i, j) is EMPTY
+
+    def test_cache_holds_matched_pairs_only(self):
+        A = build_dga(split_circle(2))
+        assert verify_dga(A, 10 ** 4).passed
+        A.materialize()
+        assert len(A._mult) == 24256
 
 
 class TestGenus2Bimodules:

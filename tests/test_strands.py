@@ -8,7 +8,7 @@ from strandcalc.strands import (DGAlgebra, StrandDiagram, build_dga,
                                 make_diagram, multiply, parse_diagram_name,
                                 verify_dga)
 
-from helpers import brute_force_diagrams
+from helpers import brute_force_diagrams, ref_multiply
 
 T = torus_circle()
 G2 = split_circle(2)
@@ -84,6 +84,12 @@ class TestMultiply:
         b = d("r[2-3]r[3-4]")
         # a ends on points {4, 3} = pairs both occupied; b starts on {2, 3}
         assert multiply(T, a, b) == frozenset()
+
+    def test_matches_reference_on_every_torus_pair(self):
+        basis = enumerate_basis(T)
+        for a in basis:
+            for b in basis:
+                assert multiply(T, a, b) == ref_multiply(T, a, b)
 
     def test_smeared_product_with_horizontal(self):
         # h(2 4) expansion: only the constant at 2 concatenates with r[2-3]
@@ -162,6 +168,24 @@ class TestBuildDGA:
         assert B.right_factor_index == {k: tuple(sorted(v))
                                         for k, v in right.items()}
         assert len(asked) == len(set(asked)) < n * n
+
+    def test_unmatched_pair_never_asks_the_closure(self):
+        A = build_dga(T)
+        asked = []
+
+        def mult_fn(i, j):
+            asked.append((i, j))
+            return A.product(i, j)
+
+        B = DGAlgebra(A.basis_names, A.idempotents, A.left_idem,
+                      A.right_idem, {}, mult_fn=mult_fn)
+        n = A.size
+        unmatched = [(i, j) for i in range(n) for j in range(n)
+                     if A.right_idem[i] != A.left_idem[j]]
+        assert unmatched
+        for i, j in unmatched:
+            assert B.product(i, j) == frozenset()
+        assert not asked and not B._mult
 
     def test_idempotents_of_products(self):
         A = build_dga(T)
