@@ -37,7 +37,7 @@ from typing import Iterable, Mapping
 
 from . import f2
 from .errors import IdempotentMismatch, UnknownSymbol
-from .strands import DGAlgebra
+from .strands import DGAlgebra, sorted_index
 
 # table value: frozenset of (A1 basis index, generator index)
 Span = frozenset
@@ -49,15 +49,6 @@ class BimodGenerator:
     name: str
     left: int   # idempotent basis index in A1
     right: int  # idempotent basis index in A2
-
-
-def _sorted_index(items) -> dict:
-    index: dict = {}
-    for key, value in items:
-        index.setdefault(key, []).append(value)
-    for v in index.values():
-        v.sort()
-    return index
 
 
 class DATable:
@@ -74,23 +65,23 @@ class DATable:
         return self.table.get((x, seq), frozenset())
 
     @cached_property
-    def entries_by_sequence(self) -> dict[tuple[int, ...], list]:
-        """seq -> list of (x, outputs); used by the morphism solver."""
-        return _sorted_index((seq, (x, outs))
-                             for (x, seq), outs in self.table.items())
+    def entries_by_sequence(self) -> dict[tuple[int, ...], tuple]:
+        """seq -> (x, outputs) pairs; used by the morphism solver."""
+        return sorted_index((seq, (x, outs))
+                            for (x, seq), outs in self.table.items())
 
     @cached_property
-    def entries_by_generator(self) -> dict[int, list]:
-        """x -> list of (seq, outputs)."""
-        return _sorted_index((x, (seq, outs))
-                             for (x, seq), outs in self.table.items())
+    def entries_by_generator(self) -> dict[int, tuple]:
+        """x -> (seq, outputs) pairs."""
+        return sorted_index((x, (seq, outs))
+                            for (x, seq), outs in self.table.items())
 
     @cached_property
-    def entries_by_output(self) -> dict[int, list]:
-        """output generator y -> list of (x, seq, algebra output c)."""
-        return _sorted_index((y, (x, seq, c))
-                             for (x, seq), outs in self.table.items()
-                             for c, y in outs)
+    def entries_by_output(self) -> dict[int, tuple]:
+        """output generator y -> (x, seq, algebra output c) triples."""
+        return sorted_index((y, (x, seq, c))
+                            for (x, seq), outs in self.table.items()
+                            for c, y in outs)
 
 
 class TypeDABimodule(DATable):
@@ -104,7 +95,6 @@ class TypeDABimodule(DATable):
         self.right_algebra = right_algebra
         self.gens = gens
         self._gen_index = {g.name: i for i, g in enumerate(gens)}
-        self._chained = None
 
     @property
     def d1(self) -> dict[Key, Span]:
@@ -118,7 +108,7 @@ class TypeDABimodule(DATable):
     def gen_index(self, name: str) -> int:
         return self._gen_index[name]
 
-    @property
+    @cached_property
     def is_chained(self) -> bool:
         """True when the table only couples idempotent-chained data.
 
@@ -126,18 +116,18 @@ class TypeDABimodule(DATable):
         compose (right idempotent of x = source of a_1, target of a_i =
         source of a_{i+1}) and the output generator continues the chain
         (right idempotent of y = target of a_k, or of x when k = 0).
-        For a chained table over idempotent-graded algebras every term of
-        the structure relation and of the morphism differential references
-        only chained entries on chained sequences, so the relation can be
-        nonzero only on chained sequences; check_structure counts just
-        those positions in `tested`.
+        For a chained table over idempotent-graded algebras (d preserves
+        idempotents, and products do, as every b is iL(b) . b . iR(b))
+        every term of the structure relation and of the morphism
+        differential references only chained entries on chained
+        sequences, so the relation can be nonzero only on chained
+        sequences; check_structure counts just those positions in
+        `tested`.
         """
-        if self._chained is None:
-            self._chained = (self.left_algebra.idem_graded
-                             and self.right_algebra.idem_graded
-                             and all(self._entry_chained(k, v)
-                                     for k, v in self.table.items()))
-        return self._chained
+        return (self.left_algebra.idem_graded
+                and self.right_algebra.idem_graded
+                and all(self._entry_chained(k, v)
+                        for k, v in self.table.items()))
 
     def _entry_chained(self, key: Key, outs: Span) -> bool:
         A2 = self.right_algebra
@@ -156,14 +146,10 @@ class TypeDABimodule(DATable):
 
 def sandwiched(A: DGAlgebra, i: int, b: int, j: int) -> bool:
     """True when i . b . j = b: an output b (x) y at x is legal exactly
-    when this holds for i = iL(x), j = iL(y).  Each answer is computed
-    once and kept in A's memo, which therefore holds at most one entry per
-    distinct (i, b, j) asked about A."""
-    got = A.sandwich_memo.get((i, b, j))
-    if got is None:
-        got = A.sandwich_memo[i, b, j] = A.product_elements(
-            A.product(i, b), frozenset((j,))) == frozenset((b,))
-    return got
+    when this holds for i = iL(x), j = iL(y).  Read off A's idempotent
+    indices: with orthogonal idempotents and b = iL(b) . b . iR(b) (see
+    DGAlgebra), i . b . j is b when i = iL(b) and j = iR(b), else 0."""
+    return A.left_idem[b] == i and A.right_idem[b] == j
 
 
 def named_entry(M: TypeDABimodule, N: TypeDABimodule, x: int,
@@ -324,17 +310,12 @@ def check_structure(M: TypeDABimodule) -> StructureReport:
 
 def identity_bimodule(A: DGAlgebra, label: str = "") -> TypeDABimodule:
     """The bimodule of A over itself: one generator per elementary
-    idempotent i, with D_1(i, [a]) = a (x) i' exactly when i.a.i' = a."""
+    idempotent i, with D_1(i, [a]) = a (x) i' exactly when i.a.i' = a,
+    that is (see sandwiched) for i = iL(a) and i' = iR(a)."""
     gens = [(A.name(i), i, i) for i in A.idempotents]
     idem_pos = {i: k for k, i in enumerate(A.idempotents)}
-    d1: dict[Key, set] = {}
-    for a in range(A.size):
-        i = A.left_idem[a]
-        j = A.right_idem[a]
-        # sanity: i.a.j = a in any idempotent-graded algebra
-        if not sandwiched(A, i, a, j):
-            continue
-        d1.setdefault((idem_pos[i], (a,)), set()).add((a, idem_pos[j]))
+    d1 = {(idem_pos[A.left_idem[a]], (a,)): [(a, idem_pos[A.right_idem[a]])]
+          for a in range(A.size)}
     return make_bimodule(A, A, gens, d1,
                          label=label or f"I({A.label or 'A'})")
 

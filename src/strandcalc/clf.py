@@ -357,14 +357,6 @@ def same_boundaries(e1: CLFExpression, e2: CLFExpression) -> bool:
 
 # --- rewrites ---------------------------------------------------------------
 
-def factor_leaf(leaf: CritLeaf) -> CLFExpression:
-    """Crit(f_l, f_r, z) = I(f_l) o_h Crit(e, e, z) o_h I(f_r)."""
-    clf = leaf.clf
-    core = CritLeaf(AbstractCLF(EMPTY_WORD, EMPTY_WORD, clf.cycle))
-    return chain([IdentityLeaf(clf.f_l, left_pmc=clf.left_pmc), core,
-                  IdentityLeaf(clf.f_r, right_pmc=clf.right_pmc)])
-
-
 def vcomp_count(expr: CLFExpression) -> int:
     """The number of binary vertical compositions: n - 1 per n-part V."""
     if isinstance(expr, (IdentityLeaf, CritLeaf)):

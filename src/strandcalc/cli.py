@@ -127,7 +127,11 @@ def _cmd_boxtensor(doc, args) -> CommandResult:
 
 
 def _cmd_morphism(doc, args) -> CommandResult:
-    if args.action == "verify":
+    verify = args.action == "verify"
+    if len(args.names) != (1 if verify else 2):
+        raise DocumentError(f"{args.action} takes " + (
+            "one morphism name" if verify else "two morphism names"))
+    if verify:
         F = doc.get(args.names[0], "morphism")
         closed = is_closed(F)
         payload = {
@@ -137,8 +141,6 @@ def _cmd_morphism(doc, args) -> CommandResult:
         }
         return CommandResult("pass" if closed.closed else "fail", payload)
     if args.action == "compose":
-        if len(args.names) != 2:
-            raise DocumentError("compose takes two morphism names")
         G = doc.get(args.names[0], "morphism")
         F = doc.get(args.names[1], "morphism")
         C = compose(G, F)
@@ -148,8 +150,6 @@ def _cmd_morphism(doc, args) -> CommandResult:
         payload = {"name": args.output, "entries": len(C.table)}
         return CommandResult("pass", payload, blocks=[text])
     if args.action == "box":
-        if len(args.names) != 2:
-            raise DocumentError("box takes two morphism names")
         F = doc.get(args.names[0], "morphism")
         G = doc.get(args.names[1], "morphism")
         B = box_morphisms(F, G)
@@ -168,8 +168,6 @@ def _cmd_morphism(doc, args) -> CommandResult:
         payload = {"name": args.output, "entries": len(B.table)}
         return CommandResult("pass", payload, blocks=[text])
     if args.action == "homotopic":
-        if len(args.names) != 2:
-            raise DocumentError("homotopic takes two morphism names")
         F = doc.get(args.names[0], "morphism")
         G = doc.get(args.names[1], "morphism")
         result = is_homotopic(F, G, args.cap)

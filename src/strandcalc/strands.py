@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from random import Random
 from typing import Callable
 
@@ -305,22 +305,31 @@ def parse_diagram_name(name: str) -> StrandDiagram:
 
 # --- packaged differential graded algebras -------------------------------
 
+def sorted_index(pairs) -> dict:
+    """key -> sorted tuple of the values paired with it."""
+    index: dict = {}
+    for key, value in pairs:
+        index.setdefault(key, []).append(value)
+    return {k: tuple(sorted(v)) for k, v in index.items()}
+
 
 class DGAlgebra:
     """A finite-basis differential graded algebra over GF(2).
 
-    Elements are frozensets of basis indices.  Each basis element carries a
-    left (source) and right (target) idempotent, themselves basis indices.
-    The multiplication table may be backed by a closure and filled on
-    demand; missing entries mean zero.  Such a closure must give zero
-    unless the right idempotent of the left factor is the left idempotent
-    of the right factor: product answers every other pair with zero
-    without asking the closure or caching it (mult tables are read as is).
-    sandwich_memo keeps the answers of bimodules.sandwiched.
+    Elements are frozensets of basis indices.  Each basis element b
+    carries a left (source) and right (target) idempotent, themselves
+    basis indices.  The algebra is taken to have orthogonal idempotents
+    and b = left_idem[b] . b . right_idem[b] for every b, so that these
+    indices are the idempotent facts bimodules.sandwiched reads.
+    Products come from the closure mult_fn, asked at most once per pair
+    and only when the right idempotent of the left factor is the left
+    idempotent of the right factor: product answers every other pair with
+    zero without asking it.  materialize stores every product and drops
+    the closure.
     """
 
     def __init__(self, basis_names, idempotents, left_idem, right_idem,
-                 diff, mult=None, mult_fn: Callable[[int, int], frozenset] | None = None,
+                 diff, mult_fn: Callable[[int, int], frozenset],
                  label: str = ""):
         self.basis_names = tuple(basis_names)
         self.idempotents = tuple(idempotents)
@@ -328,17 +337,18 @@ class DGAlgebra:
         self.right_idem = tuple(right_idem)
         self.label = label
         self._diff = dict(diff)
-        self._mult = {} if mult is None else dict(mult)
+        self._mult: dict[tuple[int, int], frozenset] = {}
         self._mult_fn = mult_fn
-        self._materialized = mult_fn is None
         self._index = {n: i for i, n in enumerate(self.basis_names)}
-        self._codiff = None
-        self._factor_indexes = None
-        self.sandwich_memo: dict[tuple[int, int, int], bool] = {}
         n = self.size
         if len(self.left_idem) != n or len(self.right_idem) != n:
             raise ValueError("idempotent assignment length mismatch")
-        self.idem_graded = self._scan_idem_graded()
+        # d preserves both idempotents (d is the only table known here;
+        # products are taken to preserve them, as b = iL(b) . b . iR(b))
+        self.idem_graded = all(
+            self.left_idem[t] == self.left_idem[i]
+            and self.right_idem[t] == self.right_idem[i]
+            for i, terms in self._diff.items() for t in terms)
 
     @property
     def size(self) -> int:
@@ -384,9 +394,11 @@ class DGAlgebra:
     # -- derived indexes (used by the morphism complex) --
 
     def materialize(self) -> None:
-        """Fill the product table on every idempotent-matched pair; the
-        products of all other pairs are zero and never stored."""
-        if self._materialized:
+        """Fill the product table on every idempotent-matched pair (the
+        products of all other pairs are zero and never stored), then drop
+        mult_fn, and with it whatever the closure holds: the table now
+        answers every product."""
+        if self._mult_fn is None:
             return
         by_left: dict[int, list[int]] = {}
         for j in range(self.size):
@@ -394,69 +406,35 @@ class DGAlgebra:
         for i in range(self.size):
             for j in by_left.get(self.right_idem[i], ()):
                 self.product(i, j)
-        self._materialized = True
+        self._mult_fn = None
 
-    @property
+    @cached_property
     def codiff_index(self) -> dict[int, tuple[int, ...]]:
         """u -> elements a with u in d(a)."""
-        if self._codiff is None:
-            index: dict[int, list[int]] = {}
-            for a in range(self.size):
-                for u in self.d(a):
-                    index.setdefault(u, []).append(a)
-            self._codiff = {u: tuple(sorted(v)) for u, v in index.items()}
-        return self._codiff
+        return sorted_index((u, a) for a in range(self.size)
+                            for u in self.d(a))
 
-    def _build_factor_indexes(self):
+    def _product_terms(self):
+        """(u, v, w) for every w in a product u.v."""
         self.materialize()
-        coproduct: dict[int, list] = {}
-        left: dict[tuple[int, int], list[int]] = {}
-        right: dict[tuple[int, int], list[int]] = {}
         for (u, v), terms in self._mult.items():
             for w in terms:
-                coproduct.setdefault(w, []).append((u, v))
-                left.setdefault((w, v), []).append(u)
-                right.setdefault((w, u), []).append(v)
-        self._factor_indexes = (
-            {k: tuple(sorted(v)) for k, v in coproduct.items()},
-            {k: tuple(sorted(v)) for k, v in left.items()},
-            {k: tuple(sorted(v)) for k, v in right.items()},
-        )
+                yield u, v, w
 
-    @property
+    @cached_property
     def coproduct_index(self) -> dict[int, tuple]:
         """w -> ordered pairs (u, v) with w in u.v (materializes products)."""
-        if self._factor_indexes is None:
-            self._build_factor_indexes()
-        return self._factor_indexes[0]
+        return sorted_index((w, (u, v)) for u, v, w in self._product_terms())
 
-    @property
+    @cached_property
     def left_factor_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """(w, v) -> elements u with w in u.v."""
-        if self._factor_indexes is None:
-            self._build_factor_indexes()
-        return self._factor_indexes[1]
+        return sorted_index(((w, v), u) for u, v, w in self._product_terms())
 
-    @property
+    @cached_property
     def right_factor_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """(w, u) -> elements v with w in u.v."""
-        if self._factor_indexes is None:
-            self._build_factor_indexes()
-        return self._factor_indexes[2]
-
-    def _scan_idem_graded(self) -> bool:
-        """True when d and the known products preserve idempotents."""
-        for i, terms in self._diff.items():
-            for t in terms:
-                if (self.left_idem[t] != self.left_idem[i]
-                        or self.right_idem[t] != self.right_idem[i]):
-                    return False
-        for (i, j), terms in self._mult.items():
-            for t in terms:
-                if (self.left_idem[t] != self.left_idem[i]
-                        or self.right_idem[t] != self.right_idem[j]):
-                    return False
-        return True
+        return sorted_index(((w, u), v) for u, v, w in self._product_terms())
 
     def __repr__(self):
         tag = self.label or f"{self.size} generators"
@@ -468,10 +446,11 @@ def build_dga(c: PointedMatchedCircle, label: str = "") -> DGAlgebra:
 
     The basis is enumerate_basis(c); the differential table is filled
     eagerly, products on first use through _keyed_product, with each
-    element's _keyed table built when first needed.  Products and
-    differentials preserve source/target idempotents by construction; the
-    constructor's scan sees the differential table (no product is computed
-    yet) and flags the algebra idempotent-graded.
+    element's _keyed table built when first needed and freed, with the
+    closure, by materialize.  The idempotents (diagrams without moving
+    strands) are orthogonal and every diagram b equals
+    source_idem(b) . b . target_idem(b), so products and differentials
+    preserve idempotents and the algebra is idempotent-graded.
     """
     basis = enumerate_basis(c)
     names = [diagram_name(d) for d in basis]
@@ -550,9 +529,11 @@ def verify_dga(A: DGAlgebra, sample_budget: int = 10 ** 6,
 
     d^2 and the idempotent axioms are always exhaustive.  Leibniz runs over
     all pairs when size^2 <= sample_budget and over sample_budget uniform
-    pairs otherwise; associativity does the same with triples.  Sampling is
-    seeded, so reports are deterministic; failing checks carry up to five
-    witnesses of offending generators, in canonical order.
+    pairs otherwise; associativity does the same with triples.  Each pair
+    or triple is drawn as it is checked, so memory does not grow with
+    sample_budget.  Sampling is seeded, so reports are deterministic;
+    failing checks carry up to five witnesses of offending generators, in
+    canonical order.
     """
     if sample_budget < 1:
         raise ValueError(f"sample budget must be >= 1, got {sample_budget}")
@@ -565,11 +546,11 @@ def verify_dga(A: DGAlgebra, sample_budget: int = 10 ** 6,
 
     exhaustive_pairs = n * n <= sample_budget
     if exhaustive_pairs:
-        pairs = [(i, j) for i in range(n) for j in range(n)]
+        pairs = itertools.product(range(n), repeat=2)
     else:
         rng = Random(seed)
-        pairs = [(rng.randrange(n), rng.randrange(n))
-                 for _ in range(sample_budget)]
+        pairs = ((rng.randrange(n), rng.randrange(n))
+                 for _ in range(sample_budget))
 
     fails = []
     for i, j in pairs:
@@ -579,16 +560,16 @@ def verify_dga(A: DGAlgebra, sample_budget: int = 10 ** 6,
         if lhs != rhs:
             fails.append((A.name(i), A.name(j)))
     checks.append(CheckResult("leibniz", not fails, exhaustive_pairs,
-                              len(pairs), tuple(sorted(set(fails)))))
+                              min(n * n, sample_budget),
+                              tuple(sorted(set(fails)))))
 
     exhaustive_triples = n ** 3 <= sample_budget
     if exhaustive_triples:
-        triples = [(i, j, k) for i in range(n) for j in range(n)
-                   for k in range(n)]
+        triples = itertools.product(range(n), repeat=3)
     else:
         rng = Random(seed + 1)
-        triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(sample_budget)]
+        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                   for _ in range(sample_budget))
 
     fails = []
     for i, j, k in triples:
@@ -597,7 +578,8 @@ def verify_dga(A: DGAlgebra, sample_budget: int = 10 ** 6,
         if lhs != rhs:
             fails.append((A.name(i), A.name(j), A.name(k)))
     checks.append(CheckResult("associativity", not fails, exhaustive_triples,
-                              len(triples), tuple(sorted(set(fails)))))
+                              min(n ** 3, sample_budget),
+                              tuple(sorted(set(fails)))))
 
     fails = []
     tested = 0

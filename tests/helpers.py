@@ -22,6 +22,13 @@ from strandcalc.morphisms import DAMorphism
 from strandcalc.strands import (_concat, _regroup, expansions, source_idem,
                                 target_idem)
 
+
+def table_mult(table):
+    """A DGAlgebra mult_fn reading a hand-written product table; absent
+    pairs multiply to zero."""
+    return lambda i, j: table.get((i, j), frozenset())
+
+
 # --- dense GF(2) oracle (numpy) -------------------------------------------
 
 

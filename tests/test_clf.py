@@ -20,7 +20,7 @@ from strandcalc import clf
 from strandcalc.clf import (AbstractCLF, CLFAssignment, CritLeaf, CycleLabel,
                             EMPTY_WORD, HComp, IdentityLeaf, VComp, Word,
                             compose_h, compose_v, concat, evaluate,
-                            expression_str, factor_leaf, flatten, hurwitz,
+                            expression_str, flatten, hurwitz,
                             initial_word, inverse, letter, normalize_horizontal,
                             parse_cycle_label, parse_expression, parse_word,
                             resulting_word, standard_form, twist, vcomp_count,
@@ -85,17 +85,10 @@ class TestMakeCLF:
         assert word_str(w.initial_word) == "ab"
         assert word_str(w.resulting_word) == "aT[e@z]b"
 
-    def test_factor_leaf_reproduces(self):
-        leaf = CritLeaf(AbstractCLF(A_LET, B_LET, ZETA))
-        factored = factor_leaf(leaf)
-        assert words_equal(initial_word(leaf), initial_word(factored))
-        assert words_equal(resulting_word(leaf), resulting_word(factored))
-
     def test_factoring_pure_twist_trivial(self):
         leaf = CritLeaf(AbstractCLF(EMPTY_WORD, EMPTY_WORD, ZETA))
-        factored = factor_leaf(leaf)
-        pruned = clf.prune_empty_identities(flatten(factored))
-        assert pruned == [leaf]
+        empty = IdentityLeaf(EMPTY_WORD)
+        assert clf.prune_empty_identities([empty, leaf, empty]) == [leaf]
 
 
 class TestCompose:

@@ -79,6 +79,12 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "boundaries_preserved: true" in proc.stdout
 
+    def test_verify_takes_one_name(self):
+        # a second name is an error, not silently ignored
+        proc = run("morphism", "verify", "IDF", "NOPE")
+        assert proc.returncode == 2 and not proc.stdout
+        assert "verify takes one morphism name" in proc.stderr
+
     def test_negative_cap_is_two(self):
         proc = run("morphism", "homotopic", "IDF", "DHID", "--cap", "-1")
         assert proc.returncode == 2

@@ -1,10 +1,12 @@
 """Cross-genus coverage: the machinery beyond the torus circle."""
 
+import tracemalloc
 from random import Random
 
 from strandcalc import clf
 from strandcalc.bimodules import (check_structure, homology,
-                                  identity_bimodule, make_bimodule)
+                                  identity_bimodule, make_bimodule,
+                                  sandwiched)
 from strandcalc.circles import reverse, split_circle, torus_circle
 from strandcalc.morphisms import (HomotopyWitness, identity_morphism,
                                   is_closed, is_homotopic, make_morphism,
@@ -43,6 +45,35 @@ def test_materialize_counts_matched_pairs():
     B.materialize()
     assert len(asked) == len(set(asked)) == 24256
     assert A2.size ** 2 == 473344
+
+
+def test_sandwiched_is_the_product_rule():
+    # the index rule against i . b . j = b for every idempotent i and j
+    tested = legal = 0
+    for i in A2.idempotents:
+        for b in range(A2.size):
+            ib = A2.product(i, b)
+            for j in A2.idempotents:
+                exact = A2.product_elements(ib, frozenset((j,))) == {b}
+                assert sandwiched(A2, i, b, j) is exact
+                tested += 1
+                legal += exact
+    assert (tested, legal) == (176128, A2.size)
+
+
+def test_sampled_verification_holds_no_sample_list():
+    # 10^4 pairs and 10^4 triples, drawn as they are checked; as lists
+    # they would take about 2 MB
+    A2.materialize()
+    tracemalloc.start()
+    try:
+        report = verify_dga(A2, 10 ** 4, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert report.check("associativity").tested == 10 ** 4
+    assert peak < 256 * 1024
 
 
 class TestGenus2Products:

@@ -1,5 +1,8 @@
 """Strand algebras: enumeration, product, differential, DGA packaging."""
 
+import gc
+import weakref
+
 import pytest
 
 from strandcalc.circles import reverse, split_circle, torus_circle
@@ -8,7 +11,7 @@ from strandcalc.strands import (DGAlgebra, StrandDiagram, build_dga,
                                 make_diagram, multiply, parse_diagram_name,
                                 verify_dga)
 
-from helpers import brute_force_diagrams, ref_multiply
+from helpers import brute_force_diagrams, ref_multiply, table_mult
 
 T = torus_circle()
 G2 = split_circle(2)
@@ -187,6 +190,32 @@ class TestBuildDGA:
             assert B.product(i, j) == frozenset()
         assert not asked and not B._mult
 
+    def test_materialize_releases_the_closure(self):
+        # once every matched product is stored, the closure (and what it
+        # holds) is dropped, and every product reads as before
+        A = build_dga(T)
+        asked = []
+
+        def mult_fn(i, j):
+            asked.append((i, j))
+            return A.product(i, j)
+
+        B = DGAlgebra(A.basis_names, A.idempotents, A.left_idem,
+                      A.right_idem, {}, mult_fn=mult_fn)
+        ref = weakref.ref(mult_fn)
+        del mult_fn
+        B.materialize()
+        gc.collect()
+        assert ref() is None
+        n = A.size
+        matched = [(i, j) for i in range(n) for j in range(n)
+                   if A.right_idem[i] == A.left_idem[j]]
+        assert sorted(B._mult) == sorted(asked) == matched
+        for i in range(n):
+            for j in range(n):
+                assert B.product(i, j) == A.product(i, j)
+        assert len(asked) == len(matched)
+
     def test_idempotents_of_products(self):
         A = build_dga(T)
         # products respect idempotents: source of product = source of left
@@ -206,9 +235,10 @@ class TestVerifyDGAFailures:
             left_idem=(0, 0, 0),
             right_idem=(0, 0, 0),
             diff={1: frozenset((2,)), 2: frozenset((1,))},
-            mult={(0, 0): frozenset((0,)),
-                  (0, 1): frozenset((1,)), (1, 0): frozenset((1,)),
-                  (0, 2): frozenset((2,)), (2, 0): frozenset((2,))},
+            mult_fn=table_mult({
+                (0, 0): frozenset((0,)),
+                (0, 1): frozenset((1,)), (1, 0): frozenset((1,)),
+                (0, 2): frozenset((2,)), (2, 0): frozenset((2,))}),
         )
         report = verify_dga(A, 10 ** 4)
         check = report.check("d_squared")
