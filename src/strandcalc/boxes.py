@@ -13,9 +13,7 @@ are excluded.  Its structure table feeds M's outputs into N:
 
 The i = 0 realization contributes N's input-free entries paired with y
 unchanged.  Chains longer than N's arity bound cannot hit N's table, so
-the sum is finite and its evaluation always terminates.  An optional step
-budget caps the work per generator pair: exceeding it raises
-NonConverging.  Without one the evaluation runs to completion.
+the sum is finite and its evaluation always terminates.
 
 Morphisms tensor one side at a time: F . I consumes the whole M-chain in
 a single application of F's table, and I . G routes the inputs through
@@ -28,83 +26,50 @@ factors by object identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bimodules import DATable, Key, TypeDABimodule, make_bimodule
-from .errors import MiddleAlgebraMismatch, NonConverging
+from .errors import MiddleAlgebraMismatch
 from .morphisms import DAMorphism, compose, make_morphism
 
-Pair = tuple[int, int]
 
-
-@dataclass(frozen=True)
-class BoxGeneratorLabel:
-    left_part: str
-    right_part: str
-
-    @property
-    def name(self) -> str:
-        return f"{self.left_part}|{self.right_part}"
-
-
-def _matched_pairs(N: TypeDABimodule, M: TypeDABimodule) -> list[Pair]:
+def _matched_pairs(N: TypeDABimodule,
+                   M: TypeDABimodule) -> list[tuple[int, int]]:
     return [(i, j)
             for i in range(N.size) for j in range(M.size)
             if N.gens[i].right == M.gens[j].left]
 
 
-def _chain_states(M: TypeDABimodule, start: int, max_chain: int,
-                  budget: int | None, steps: list[int]):
+def _chain_states(M: TypeDABimodule, start: int, max_chain: int):
     """All (generator, consumed inputs, A2 chain) states reachable from
     start by applying M's table to consecutive chunks; includes the
-    zero-application state.  Deterministic order; counts steps against
-    the budget when there is one."""
+    zero-application state.  No result depends on the order of states."""
     states = [(start, (), ())]
-    frontier = [(start, (), ())]
-    while frontier:
-        new = []
-        for y, seq, chain in frontier:
-            if len(chain) >= max_chain:
-                continue
+    for y, seq, chain in states:
+        if len(chain) < max_chain:
             for chunk, outs in M.entries_by_generator.get(y, ()):
-                for c, y2 in sorted(outs):
-                    steps[0] += 1
-                    if budget is not None and steps[0] > budget:
-                        raise NonConverging(
-                            f"box evaluation exceeded its step budget of "
-                            f"{budget} for one generator pair")
-                    state = (y2, seq + chunk, chain + (c,))
-                    new.append(state)
-        states.extend(new)
-        frontier = new
+                for c, y2 in outs:
+                    states.append((y2, seq + chunk, chain + (c,)))
     return states
 
 
-def _morphism_chain_states(G: DAMorphism, start: int, max_chain: int,
-                           budget: int | None, steps: list[int]):
+def _morphism_chain_states(G: DAMorphism, start: int, max_chain: int):
     """Like _chain_states for I . G: M-iterates, exactly one application
     of G : M -> M', then M'-iterates."""
-    for y1, seq1, chain1 in _chain_states(G.source, start,
-                                          max(max_chain - 1, 0), budget,
-                                          steps):
-        for seq_g, outs_g in G.entries_by_generator.get(y1, ()):
-            for g, y2 in sorted(outs_g):
-                mid_chain = chain1 + (g,)
-                if len(mid_chain) > max_chain:
-                    continue
-                for y3, seq3, chain3 in _chain_states(
-                        G.target, y2, max_chain - len(mid_chain), budget,
-                        steps):
-                    yield y3, seq1 + seq_g + seq3, mid_chain + chain3
+    for y1, seq1, chain1 in _chain_states(G.source, start, max_chain - 1):
+        if len(chain1) < max_chain:
+            for seq_g, outs_g in G.entries_by_generator.get(y1, ()):
+                for g, y2 in outs_g:
+                    mid_chain = chain1 + (g,)
+                    for y3, seq3, chain3 in _chain_states(
+                            G.target, y2, max_chain - len(mid_chain)):
+                        yield y3, seq1 + seq_g + seq3, mid_chain + chain3
 
 
 def _box_table(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
                M: TypeDABimodule, M2: TypeDABimodule,
                states) -> dict[Key, set]:
     """The table of a map (N . M) -> (N2 . M2) that feeds the A2 chain of
-    each state into T : N -> N2 once; states(j, steps) yields the (M2
-    generator, consumed inputs, A2 chain) states from generator j of M,
-    with one steps counter per generator pair."""
+    each state into T : N -> N2 once; states(j) yields the (M2 generator,
+    consumed inputs, A2 chain) states from generator j of M."""
     if N.right_algebra is not M.left_algebra:
         raise MiddleAlgebraMismatch(
             "right algebra of the left factor differs from the left "
@@ -112,7 +77,7 @@ def _box_table(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
     pos_t = {p: k for k, p in enumerate(_matched_pairs(N2, M2))}
     table: dict[Key, set] = {}
     for key, (i, j) in enumerate(_matched_pairs(N, M)):
-        for y, seq, chain in states(j, [0]):
+        for y, seq, chain in states(j):
             for b, i2 in T.entry(i, chain):
                 out = pos_t.get((i2, y))
                 if out is None:
@@ -123,56 +88,49 @@ def _box_table(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
 
 
 def _box_left(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
-              M: TypeDABimodule, step_budget: int | None) -> dict[Key, set]:
+              M: TypeDABimodule) -> dict[Key, set]:
     """The table of T . I : (N . M) -> (N2 . M) for T from N to N2."""
-    return _box_table(T, N, N2, M, M, lambda j, steps: _chain_states(
-        M, j, T.arity_bound, step_budget, steps))
+    return _box_table(T, N, N2, M, M,
+                      lambda j: _chain_states(M, j, T.arity_bound))
 
 
-def box_bimodules(N: TypeDABimodule, M: TypeDABimodule,
-                  step_budget: int | None = None,
-                  label: str = "") -> TypeDABimodule:
+def box_bimodules(N: TypeDABimodule, M: TypeDABimodule) -> TypeDABimodule:
     """The box tensor product of bimodules (see module docstring)."""
-    table = _box_left(N, N, N, M, step_budget)
-    gens = [(BoxGeneratorLabel(N.gens[i].name, M.gens[j].name).name,
+    gens = [(f"{N.gens[i].name}|{M.gens[j].name}",
              N.gens[i].left, M.gens[j].right)
             for i, j in _matched_pairs(N, M)]
-    return make_bimodule(N.left_algebra, M.right_algebra, gens, table,
-                         label=label or f"{N.label}.{M.label}")
+    return make_bimodule(N.left_algebra, M.right_algebra, gens,
+                         _box_left(N, N, N, M), label=f"{N.label}.{M.label}")
 
 
-def box_morphism_left(F: DAMorphism, M: TypeDABimodule,
-                      step_budget: int | None = None) -> DAMorphism:
+def box_morphism_left(F: DAMorphism, M: TypeDABimodule) -> DAMorphism:
     """F . I : (N . M) -> (N' . M) for F : N -> N'; builds N . M once
     when N is N'."""
-    source = box_bimodules(F.source, M, step_budget)
+    source = box_bimodules(F.source, M)
     target = (source if F.target is F.source
-              else box_bimodules(F.target, M, step_budget))
+              else box_bimodules(F.target, M))
     return make_morphism(source, target,
-                         _box_left(F, F.source, F.target, M, step_budget),
+                         _box_left(F, F.source, F.target, M),
                          label=f"{F.label}.id" if F.label else "")
 
 
-def box_morphism_right(N: TypeDABimodule, G: DAMorphism,
-                       step_budget: int | None = None) -> DAMorphism:
+def box_morphism_right(N: TypeDABimodule, G: DAMorphism) -> DAMorphism:
     """I . G : (N . M) -> (N . M') for G : M -> M'; builds N . M once
     when M is M'."""
     table = _box_table(N, N, N, G.source, G.target,
-                       lambda j, steps: _morphism_chain_states(
-                           G, j, N.arity_bound, step_budget, steps))
-    source = box_bimodules(N, G.source, step_budget)
+                       lambda j: _morphism_chain_states(G, j, N.arity_bound))
+    source = box_bimodules(N, G.source)
     target = (source if G.target is G.source
-              else box_bimodules(N, G.target, step_budget))
+              else box_bimodules(N, G.target))
     return make_morphism(source, target, table,
                          label=f"id.{G.label}" if G.label else "")
 
 
-def box_morphisms(F: DAMorphism, G: DAMorphism,
-                  step_budget: int | None = None) -> DAMorphism:
+def box_morphisms(F: DAMorphism, G: DAMorphism) -> DAMorphism:
     """F . G = (I . G) o (F . I), building each distinct one of
     F.source . G.source, F.target . G.source and F.target . G.target once."""
-    right = box_morphism_right(F.target, G, step_budget)
+    right = box_morphism_right(F.target, G)
     source = (right.source if F.source is F.target
-              else box_bimodules(F.source, G.source, step_budget))
+              else box_bimodules(F.source, G.source))
     return compose(right, make_morphism(source, right.source, _box_left(
-        F, F.source, F.target, G.source, step_budget)))
+        F, F.source, F.target, G.source)))

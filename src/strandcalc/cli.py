@@ -34,14 +34,14 @@ from .strands import verify_dga
 
 @dataclass
 class CommandResult:
-    status: str  # pass | fail | error
+    status: str  # pass | fail
     payload: dict = field(default_factory=dict)
     diagnostics: list = field(default_factory=list)
     blocks: list = field(default_factory=list)  # verbatim document text
 
     @property
     def exit_code(self) -> int:
-        return {"pass": 0, "fail": 1, "error": 2}[self.status]
+        return {"pass": 0, "fail": 1}[self.status]
 
 
 def _fmt_value(value) -> str:

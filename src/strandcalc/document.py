@@ -103,6 +103,10 @@ class _Cursor:
         self.skip_ws()
         return self.pos >= len(self.text)
 
+    def end(self, what: str) -> None:
+        if not self.done():
+            raise self.error(f"trailing input after {what}")
+
     def literal(self, token: str) -> None:
         self.skip_ws()
         if not self.text.startswith(token, self.pos):
@@ -171,7 +175,9 @@ def parse_document(text: str) -> Document:
         handler = _HANDLERS.get(keyword)
         if handler is None:
             raise ParseError(f"unknown declaration {keyword!r}", lineno, 0)
-        if stripped.rstrip().endswith("{"):
+        block = None
+        if keyword in _BLOCK_KEYWORDS and stripped.endswith("{"):
+            cur.text = stripped[:-1]
             block = []
             while True:
                 if i >= len(lines):
@@ -183,9 +189,8 @@ def parse_document(text: str) -> Document:
                     break
                 if body.strip():
                     block.append((blockno, body))
-            handler(doc, cur, block)
-        else:
-            handler(doc, cur, None)
+        handler(doc, cur, block)
+        cur.end("declaration")
     return doc
 
 
@@ -228,7 +233,7 @@ def _parse_bimodule(doc: Document, cur: _Cursor, block) -> None:
     name = cur.word()
     cur.literal("OVER")
     a1_name = cur.word()
-    a2_name = cur.word().rstrip("{").strip()
+    a2_name = cur.word()
     A1 = doc.get(a1_name, "algebra", cur.line, 0)
     A2 = doc.get(a2_name, "algebra", cur.line, 0)
     gens: list[tuple[str, int, int]] = []
@@ -242,6 +247,7 @@ def _parse_bimodule(doc: Document, cur: _Cursor, block) -> None:
             left = _element(line, A1)
             line.literal("R=")
             right = _element(line, A2)
+            line.end("GEN line")
             if gname in gen_pos:
                 raise DuplicateName(f"generator {gname!r} repeated",
                                     lineno, 0)
@@ -283,8 +289,7 @@ def _parse_entry(line: _Cursor, A1: DGAlgebra, A2: DGAlgebra,
             outs ^= {(b, target_pos[gname])}
             if not line.try_literal("+"):
                 break
-    if not line.done():
-        raise line.error("trailing input after entry")
+    line.end("entry")
     key = (source_pos[xname], tuple(seq))
     entries[key] = entries.get(key, frozenset()) ^ outs
 
@@ -294,7 +299,7 @@ def _parse_morphism(doc: Document, cur: _Cursor, block) -> None:
     cur.literal("FROM")
     m_name = cur.word()
     cur.literal("TO")
-    n_name = cur.word().rstrip("{").strip()
+    n_name = cur.word()
     M = doc.get(m_name, "bimodule", cur.line, 0)
     N = doc.get(n_name, "bimodule", cur.line, 0)
     gen_pos_m = {g.name: i for i, g in enumerate(M.gens)}
@@ -330,7 +335,7 @@ def _parse_clf(doc: Document, cur: _Cursor, block) -> None:
 def _parse_assign(doc: Document, cur: _Cursor, block) -> None:
     name = cur.word()
     cur.literal("BASE")
-    algebra_name = cur.word().rstrip("{").strip()
+    algebra_name = cur.word()
     A = doc.get(algebra_name, "algebra", cur.line, 0)
     letters = {}
     default_letter = None
@@ -342,6 +347,7 @@ def _parse_assign(doc: Document, cur: _Cursor, block) -> None:
             line.literal("=")
             bname = line.word()
             bimod = doc.get(bname, "bimodule", lineno, 0)
+            line.end("LETTER line")
             if token == "DEFAULT":
                 default_letter = bimod
                 continue
@@ -354,6 +360,7 @@ def _parse_assign(doc: Document, cur: _Cursor, block) -> None:
             line.literal("=")
             fname = line.word()
             default_crit = doc.get(fname, "morphism", lineno, 0)
+            line.end("CRIT line")
         else:
             raise line.error("expected LETTER or CRIT")
     assign = clfmod.CLFAssignment(A, letters=letters,
@@ -371,6 +378,7 @@ _HANDLERS = {
     "CLF": _parse_clf,
     "ASSIGN": _parse_assign,
 }
+_BLOCK_KEYWORDS = {"BIMODULE", "MORPHISM", "ASSIGN"}
 
 
 # --- serialization -----------------------------------------------------------

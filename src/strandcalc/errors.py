@@ -49,10 +49,6 @@ class MiddleAlgebraMismatch(StrandCalcError):
     """Box tensor factors disagree on the shared middle algebra."""
 
 
-class NonConverging(StrandCalcError):
-    """A box tensor evaluation exceeded its step budget."""
-
-
 # --- CLF calculus ------------------------------------------------------
 
 class BoundaryMismatch(StrandCalcError):

@@ -8,7 +8,7 @@ from strandcalc import boxes
 from strandcalc.bimodules import (check_structure, homology,
                                   identity_bimodule, make_bimodule)
 from strandcalc.circles import split_circle, torus_circle
-from strandcalc.errors import MiddleAlgebraMismatch, NonConverging
+from strandcalc.errors import MiddleAlgebraMismatch
 from strandcalc.morphisms import (DAMorphism, compose, identity_morphism,
                                   is_closed, is_homotopic,
                                   morphism_differential, same_shape,
@@ -81,10 +81,6 @@ class TestBoxBimodules:
         J = identity_bimodule(B)
         with pytest.raises(MiddleAlgebraMismatch):
             box_bimodules(I, J)
-
-    def test_step_budget_enforced(self):
-        with pytest.raises(NonConverging):
-            box_bimodules(I, I, step_budget=0)
 
 
 class TestBoxMorphismLeft:

@@ -37,6 +37,16 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "line 1" in proc.stderr
 
+    def test_trailing_input_is_two(self, tmp_path):
+        header = "MORPHISM IDF FROM I TO I {"
+        text = open(TUTORIAL).read()
+        bad = tmp_path / "trailing.bhf"
+        bad.write_text(text.replace(header, header[:-1] + "extra {"))
+        proc = run("morphism", "verify", "IDF", doc=str(bad))
+        assert proc.returncode == 2 and not proc.stdout
+        line = text.splitlines().index(header) + 1
+        assert f"line {line}, col 25: trailing input" in proc.stderr
+
     def test_unresolved_name_is_two(self):
         proc = run("pmc", "check", "NOPE")
         assert proc.returncode == 2

@@ -52,6 +52,27 @@ BAD_ENTRIES = [
     ("trailing input", ": v", ": v extra"),
 ]
 
+# every declaration line and block line that ends in a name or element
+EVERY_LINE = MORPHISM + """
+ASSIGN S BASE A {
+  LETTER a = M
+  CRIT DEFAULT = F
+}
+"""
+
+# (a line of EVERY_LINE, the same line with trailing input, that input)
+TRAILING = [
+    ("ALGEBRA A FROM T", "ALGEBRA A FROM T junk here", "junk"),
+    ("ALGEBRA A FROM T", "ALGEBRA A FROM T {", "{"),
+    ("BIMODULE M OVER A A {", "BIMODULE M OVER A A junk {", "junk"),
+    ("MORPHISM F FROM M TO M {", "MORPHISM F FROM M TO M extra {",
+     "extra"),
+    ("ASSIGN S BASE A {", "ASSIGN S BASE A more {", "more"),
+    ("  GEN u L=h(1 3) R=h(1 3)", "  GEN u L=h(1 3) R=h(1 3) junk", "junk"),
+    ("  LETTER a = M", "  LETTER a = M trailing", "trailing"),
+    ("  CRIT DEFAULT = F", "  CRIT DEFAULT = F trailing", "trailing"),
+]
+
 
 def _line_of(text: str, line: str) -> int:
     return text.splitlines().index(line) + 1
@@ -124,6 +145,16 @@ BIMODULE M OVER A A {
         with pytest.raises(ParseError) as info:
             parse_document(text.replace(entry, entry.replace(old, new)))
         assert info.value.line == _line_of(text, entry)
+
+    @pytest.mark.parametrize("line,junky,junk", TRAILING,
+                             ids=[t[1].strip() for t in TRAILING])
+    def test_trailing_input_located(self, line, junky, junk):
+        parse_document(EVERY_LINE)
+        with pytest.raises(ParseError) as info:
+            parse_document(EVERY_LINE.replace(line, junky))
+        assert "trailing input" in str(info.value)
+        assert info.value.line == _line_of(EVERY_LINE, line)
+        assert info.value.column == junky.index(" " + junk) + 1
 
     @pytest.mark.parametrize("keyword,kind", [("D1", "bimodule"),
                                               ("F", "morphism")])

@@ -165,7 +165,7 @@ class TestGenus2Evaluation:
         # Every letter goes to I2 and every critical leaf to ID + d(H) with
         # H(x, []) = x's own idempotent at x = h(1 3)h(5 7).  Boxing the
         # evaluated pieces takes 366,743 chain steps for one generator
-        # pair: finite work, which box evaluation must finish by default.
+        # pair: finite work, which box evaluation must finish.
         x = I2.gen_index("h(1 3)h(5 7)")
         H = make_morphism(I2, I2, {(x, ()): [(A2.index("h(1 3)h(5 7)"), x)]})
         crit = identity_morphism(I2) + morphism_differential(H)
