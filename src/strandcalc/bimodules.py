@@ -77,9 +77,18 @@ class DATable:
                             for (x, seq), outs in self.table.items())
 
     @cached_property
-    def entries_by_output(self) -> dict[int, tuple]:
-        """output generator y -> (x, seq, algebra output c) triples."""
-        return sorted_index((y, (x, seq, c))
+    def entries_by_source_term(self) -> dict[tuple[int, int], tuple]:
+        """(x, algebra output c) -> (seq, y) pairs with c (x) y in the
+        entry at (x, seq)."""
+        return sorted_index(((x, c), (seq, y))
+                            for (x, seq), outs in self.table.items()
+                            for c, y in outs)
+
+    @cached_property
+    def entries_by_target_term(self) -> dict[tuple[int, int], tuple]:
+        """(y, algebra output c) -> (x, seq) pairs with c (x) y in the
+        entry at (x, seq)."""
+        return sorted_index(((y, c), (x, seq))
                             for (x, seq), outs in self.table.items()
                             for c, y in outs)
 

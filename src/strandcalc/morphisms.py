@@ -39,7 +39,7 @@ from typing import Iterable, Mapping
 
 from . import f2
 from .bimodules import (DATable, Key, Span, TypeDABimodule, checked_table,
-                        first_entry, sandwiched)
+                        first_entry)
 from .errors import BimoduleMismatch, NotClosed
 
 Coord = tuple[int, tuple[int, ...], tuple[int, int]]
@@ -115,30 +115,42 @@ def identity_morphism(M: TypeDABimodule) -> DAMorphism:
 
 # --- the differential ----------------------------------------------------
 
+def _toggle(parity: set, term) -> None:
+    """Add term to a GF(2) sum held as a set, or cancel it there."""
+    if term in parity:
+        parity.remove(term)
+    else:
+        parity.add(term)
+
+
 def _coord_image(M: TypeDABimodule, N: TypeDABimodule,
-                 x: int, seq: tuple[int, ...], b: int, y: int) -> frozenset:
+                 x: int, seq: tuple[int, ...], b: int, y: int) -> set:
     """d of the single-coordinate table (x, seq) -> (b, y), as a parity
-    set of (x', seq', (t, z)) coordinates."""
+    set of (x', seq', (t, z)) coordinates.  The two mu_2 terms run over
+    the nonzero products b.c and c.b only."""
     A1, A2 = M.left_algebra, M.right_algebra
     acc: set[Coord] = set()
     for t in A1.d(b):
-        acc ^= {(x, seq, (t, y))}
-    for seq2, outs2 in N.entries_by_generator.get(y, ()):
-        for c, z in outs2:
-            for t in A1.product(b, c):
-                acc ^= {(x, seq + seq2, (t, z))}
-    for x0, seq0, c in M.entries_by_output.get(x, ()):
-        for t in A1.product(c, b):
-            acc ^= {(x0, seq0 + seq, (t, y))}
+        _toggle(acc, (x, seq, (t, y)))
+    after = N.entries_by_source_term
+    for c, bc in A1.products_by_left.get(b, ()):
+        for seq2, z in after.get((y, c), ()):
+            for t in bc:
+                _toggle(acc, (x, seq + seq2, (t, z)))
+    before = M.entries_by_target_term
+    for c, cb in A1.products_by_right.get(b, ()):
+        for x0, seq0 in before.get((x, c), ()):
+            for t in cb:
+                _toggle(acc, (x0, seq0 + seq, (t, y)))
     codiff = A2.codiff_index
     for k, u in enumerate(seq):
         for a in codiff.get(u, ()):
-            acc ^= {(x, seq[:k] + (a,) + seq[k + 1:], (b, y))}
+            _toggle(acc, (x, seq[:k] + (a,) + seq[k + 1:], (b, y)))
     coprod = A2.coproduct_index
     for k, w in enumerate(seq):
         for u, v in coprod.get(w, ()):
-            acc ^= {(x, seq[:k] + (u, v) + seq[k + 1:], (b, y))}
-    return frozenset(acc)
+            _toggle(acc, (x, seq[:k] + (u, v) + seq[k + 1:], (b, y)))
+    return acc
 
 
 def morphism_differential(H: DAMorphism) -> DAMorphism:
@@ -148,8 +160,7 @@ def morphism_differential(H: DAMorphism) -> DAMorphism:
     for (x, seq), outs in H.table.items():
         for b, y in outs:
             for (x2, seq2, out) in _coord_image(M, N, x, seq, b, y):
-                bucket = acc.setdefault((x2, seq2), set())
-                bucket ^= {out}
+                _toggle(acc.setdefault((x2, seq2), set()), out)
     table = {k: frozenset(v) for k, v in acc.items() if v}
     return DAMorphism(M, N, table, label=f"d({H.label})" if H.label else "")
 
@@ -182,8 +193,8 @@ def compose(G: DAMorphism, F: DAMorphism) -> DAMorphism:
             for seq2, outs2 in g_entries.get(y, ()):
                 for c, z in outs2:
                     for t in A1.product(b, c):
-                        bucket = acc.setdefault((x, seq1 + seq2), set())
-                        bucket ^= {(t, z)}
+                        _toggle(acc.setdefault((x, seq1 + seq2), set()),
+                                (t, z))
     table = {k: frozenset(v) for k, v in acc.items() if v}
     return DAMorphism(F.source, G.target, table)
 
@@ -208,37 +219,42 @@ class NotWithinCap:
 
 
 def _candidate_unknowns(M: TypeDABimodule, N: TypeDABimodule,
-                        e: Coord, cap: int):
-    """Unknown coordinates whose d-image can touch equation e (a superset;
-    exact parities come from _coord_image on the forward pass)."""
+                        e: Coord, cap: int) -> list[Coord]:
+    """Unknown coordinates of arity <= cap whose d-image can touch
+    equation e (a superset; exact parities come from _coord_image on the
+    forward pass).  Each term of d is tried only at the lengths where its
+    unknown has arity <= cap and its table entry arity <= the table's
+    bound."""
     A1, A2 = M.left_algebra, M.right_algebra
     x, seq, (t, z) = e
+    n = len(seq)
     out = []
-    for b in A1.codiff_index.get(t, ()):
-        out.append((x, seq, (b, z)))
+    if n <= cap:
+        for b in A1.codiff_index.get(t, ()):
+            out.append((x, seq, (b, z)))
+        for k, a in enumerate(seq):
+            for u in A2.d(a):
+                out.append((x, seq[:k] + (u,) + seq[k + 1:], (t, z)))
+    if n <= cap + 1:
+        for k in range(n - 1):
+            for w in A2.product(seq[k], seq[k + 1]):
+                out.append((x, seq[:k] + (w,) + seq[k + 2:], (t, z)))
     by_seq_N = N.entries_by_sequence
     left_fac = A1.left_factor_index
-    right_fac = A1.right_factor_index
-    for j in range(len(seq) + 1):
+    for j in range(max(0, n - N.arity_bound), min(n, cap) + 1):
         for y, outs2 in by_seq_N.get(seq[j:], ()):
             for c, z2 in outs2:
-                if z2 != z:
-                    continue
-                for b in left_fac.get((t, c), ()):
-                    out.append((x, seq[:j], (b, y)))
+                if z2 == z:
+                    for b in left_fac.get((t, c), ()):
+                        out.append((x, seq[:j], (b, y)))
+    right_fac = A1.right_factor_index
+    for j in range(max(0, n - cap), min(n, M.arity_bound) + 1):
         for c, x2 in M.entry(x, seq[:j]):
             for b in right_fac.get((t, c), ()):
                 out.append((x2, seq[j:], (b, z)))
-    for k, a in enumerate(seq):
-        for u in A2.d(a):
-            out.append((x, seq[:k] + (u,) + seq[k + 1:], (t, z)))
-    for k in range(len(seq) - 1):
-        for w in A2.product(seq[k], seq[k + 1]):
-            out.append((x, seq[:k] + (w,) + seq[k + 2:], (t, z)))
-    gens_M, gens_N = M.gens, N.gens
-    return [(x2, s2, (b2, y2)) for x2, s2, (b2, y2) in out
-            if len(s2) <= cap
-            and sandwiched(A1, gens_M[x2].left, b2, gens_N[y2].left)]
+    left, right = A1.left_idem, A1.right_idem
+    return [u for u in out if left[u[2][0]] == M.gens[u[0]].left
+            and right[u[2][0]] == N.gens[u[2][1]].left]
 
 
 def is_homotopic(F: DAMorphism, G: DAMorphism,
@@ -248,7 +264,9 @@ def is_homotopic(F: DAMorphism, G: DAMorphism,
     Preconditions: same source and target shapes, F and G closed.  On
     success the witness has been re-verified bit-exactly at all arities;
     NotWithinCap means no witness of arity <= cap exists and is not a
-    proof of non-homotopy.
+    proof of non-homotopy.  The witness is the unique solution that is
+    zero on every non-pivot unknown, with the unknowns in sorted
+    coordinate order; it does not depend on the order of the equations.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -263,46 +281,40 @@ def is_homotopic(F: DAMorphism, G: DAMorphism,
     if not rhs:
         return HomotopyWitness(zero_morphism(M, N), cap)
 
-    seeds = {(x, seq, out) for (x, seq), outs in rhs.items()
-             for out in outs}
-    unknowns: dict[Coord, frozenset] = {}
-    equations: set[Coord] = set(seeds)
-    frontier_eq = list(seeds)
+    # equations are numbered as first met, the seeds (rows 0..) first
+    seeds = [(x, seq, out) for (x, seq), outs in rhs.items()
+             for out in outs]
+    row = {e: i for i, e in enumerate(seeds)}
+    unknowns: dict[Coord, set | None] = {}
+    frontier_eq = seeds
     while frontier_eq:
         new_unknowns = []
         for e in frontier_eq:
             for u in _candidate_unknowns(M, N, e, cap):
                 if u not in unknowns:
-                    unknowns[u] = frozenset()
+                    unknowns[u] = None
                     new_unknowns.append(u)
         frontier_eq = []
         for u in new_unknowns:
             x, seq, (b, y) = u
-            image = _coord_image(M, N, x, seq, b, y)
-            unknowns[u] = image
+            image = unknowns[u] = _coord_image(M, N, x, seq, b, y)
             for e in image:
-                if e not in equations:
-                    equations.add(e)
+                if e not in row:
+                    row[e] = len(row)
                     frontier_eq.append(e)
 
-    eq_list = sorted(equations)
-    eq_pos = {e: i for i, e in enumerate(eq_list)}
     un_list = sorted(unknowns)
-    entries = set()
-    for col, u in enumerate(un_list):
-        for e in unknowns[u]:
-            entries.add((eq_pos[e], col))
-    matrix = f2.F2Matrix(len(eq_list), len(un_list), frozenset(entries))
-    target = f2.F2Vector(frozenset(eq_pos[s] for s in seeds))
-    solution = f2.solve(matrix, target)
+    matrix = f2.F2Matrix(len(row), len(un_list), frozenset(
+        (row[e], col) for col, u in enumerate(un_list)
+        for e in unknowns.pop(u)))
+    solution = f2.solve(matrix, f2.F2Vector(frozenset(range(len(seeds)))))
     if solution is None:
         return NotWithinCap(cap)
 
     table: dict[Key, set] = {}
     for col in solution.support:
         x, seq, out = un_list[col]
-        bucket = table.setdefault((x, seq), set())
-        bucket ^= {out}
+        _toggle(table.setdefault((x, seq), set()), out)
     witness = DAMorphism(M, N, {k: frozenset(v) for k, v in table.items()})
     if morphism_differential(witness).table != rhs:
         raise AssertionError("homotopy witness failed bit-exact re-check")

@@ -305,12 +305,17 @@ def parse_diagram_name(name: str) -> StrandDiagram:
 
 # --- packaged differential graded algebras -------------------------------
 
-def sorted_index(pairs) -> dict:
-    """key -> sorted tuple of the values paired with it."""
+def group_index(pairs) -> dict:
+    """key -> list of the values paired with it, in the order given."""
     index: dict = {}
     for key, value in pairs:
         index.setdefault(key, []).append(value)
-    return {k: tuple(sorted(v)) for k, v in index.items()}
+    return index
+
+
+def sorted_index(pairs) -> dict:
+    """key -> sorted tuple of the values paired with it."""
+    return {k: tuple(sorted(v)) for k, v in group_index(pairs).items()}
 
 
 class DGAlgebra:
@@ -324,8 +329,8 @@ class DGAlgebra:
     Products come from the closure mult_fn, asked at most once per pair
     and only when the right idempotent of the left factor is the left
     idempotent of the right factor: product answers every other pair with
-    zero without asking it.  materialize stores every product and drops
-    the closure.
+    zero without asking it.  materialize stores every nonzero product
+    and drops the closure.
     """
 
     def __init__(self, basis_names, idempotents, left_idem, right_idem,
@@ -394,10 +399,10 @@ class DGAlgebra:
     # -- derived indexes (used by the morphism complex) --
 
     def materialize(self) -> None:
-        """Fill the product table on every idempotent-matched pair (the
-        products of all other pairs are zero and never stored), then drop
-        mult_fn, and with it whatever the closure holds: the table now
-        answers every product."""
+        """Compute the product of every idempotent-matched pair (the
+        products of all other pairs are zero and never stored), keep the
+        nonzero ones, then drop mult_fn, and with it whatever the closure
+        holds: every pair missing from the table now multiplies to zero."""
         if self._mult_fn is None:
             return
         by_left: dict[int, list[int]] = {}
@@ -406,7 +411,20 @@ class DGAlgebra:
         for i in range(self.size):
             for j in by_left.get(self.right_idem[i], ()):
                 self.product(i, j)
+        self._mult = {k: v for k, v in self._mult.items() if v}
         self._mult_fn = None
+
+    @cached_property
+    def products_by_left(self) -> dict[int, list[tuple[int, frozenset]]]:
+        """u -> (v, u.v) for every nonzero product (materializes products)."""
+        self.materialize()
+        return group_index((u, (v, w)) for (u, v), w in self._mult.items())
+
+    @cached_property
+    def products_by_right(self) -> dict[int, list[tuple[int, frozenset]]]:
+        """v -> (u, u.v) for every nonzero product (materializes products)."""
+        self.materialize()
+        return group_index((v, (u, w)) for (u, v), w in self._mult.items())
 
     @cached_property
     def codiff_index(self) -> dict[int, tuple[int, ...]]:

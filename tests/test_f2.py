@@ -133,6 +133,38 @@ class TestReferenceIdentity:
         assert min(seen.values()) >= 20, seen
 
 
+    def test_row_order_and_repeats_do_not_matter(self):
+        # the homotopy search numbers its equations as it meets them, so
+        # its witness relies on solve ignoring row order and repeated rows
+        rng = Random(8)
+        seen = {"consistent": 0, "inconsistent": 0}
+        for i in range(400):
+            cols = rng.randrange(65, 80) if i % 10 == 0 else rng.randrange(12)
+            rows = rng.randrange(1, 80 if i % 10 == 0 else 12)
+            m = random_matrix(rng, rows, cols, rng.choice((0.1, 0.3, 0.6)))
+            if rng.random() < 0.5:
+                b = m.apply(f2.F2Vector(frozenset(
+                    c for c in range(cols) if rng.random() < 0.5)))
+            else:
+                b = f2.F2Vector(frozenset(
+                    r for r in range(rows) if rng.random() < 0.5))
+            expect = f2.solve(m, b)
+            ref = ref_solve(m, b)
+            assert expect == ref
+            seen["inconsistent" if expect is None else "consistent"] += 1
+            for repeats in (0, rng.randrange(1, 5)):
+                order = list(range(rows)) + [rng.randrange(rows)
+                                             for _ in range(repeats)]
+                rng.shuffle(order)
+                moved = mat(len(order), cols,
+                            [(i, c) for i, r in enumerate(order)
+                             for r2, c in m.entries if r2 == r])
+                target = f2.F2Vector(frozenset(
+                    i for i, r in enumerate(order) if r in b.support))
+                assert f2.solve(moved, target) == expect
+        assert min(seen.values()) >= 100, seen
+
+
 class TestHomology:
     def test_zero_complex(self):
         z = f2.F2Matrix.zero(4, 4)

@@ -1,12 +1,13 @@
 """Cross-genus coverage: the machinery beyond the torus circle."""
 
+import hashlib
 import tracemalloc
 from random import Random
 
 from strandcalc import clf
 from strandcalc.bimodules import (check_structure, homology,
                                   identity_bimodule, make_bimodule,
-                                  sandwiched)
+                                  named_entry, sandwiched)
 from strandcalc.circles import reverse, split_circle, torus_circle
 from strandcalc.morphisms import (HomotopyWitness, identity_morphism,
                                   is_closed, is_homotopic, make_morphism,
@@ -100,10 +101,29 @@ class TestGenus2Products:
                     assert A2.product(i, j) is EMPTY
 
     def test_cache_holds_matched_pairs_only(self):
-        A = build_dga(split_circle(2))
+        # a closure-backed copy of A2, partly filled by a sampled verify
+        # (which stores zero products too): materialize asks the closure
+        # once per matched pair and then keeps only the nonzero products
+        asked = []
+
+        def mult_fn(i, j):
+            asked.append((i, j))
+            return A2.product(i, j)
+
+        A = DGAlgebra(A2.basis_names, A2.idempotents, A2.left_idem,
+                      A2.right_idem, {i: A2.d(i) for i in range(A2.size)},
+                      mult_fn=mult_fn)
         assert verify_dga(A, 10 ** 4).passed
         A.materialize()
-        assert len(A._mult) == 24256
+        assert len(asked) == len(set(asked)) == 24256
+        n = A2.size
+        nonzero = {(i, j): A2.product(i, j) for i in range(n)
+                   for j in range(n) if A2.product(i, j)}
+        assert len(nonzero) == 5815
+        assert A._mult == nonzero
+        for i in range(n):
+            for j in range(n):
+                assert A.product(i, j) == A2.product(i, j)
 
 
 class TestGenus2Bimodules:
@@ -192,3 +212,9 @@ class TestGenus2Homotopy:
         assert isinstance(result, HomotopyWitness)
         assert morphism_differential(result.h).table == (ID + G).table
         assert len(result.h.table) == 37
+        # the exact witness: the unique solution that is zero on the
+        # non-pivot unknowns, in sorted coordinate order
+        listing = sorted(named_entry(I2, I2, x, seq, outs)
+                         for (x, seq), outs in result.h.table.items())
+        assert hashlib.sha256(repr(listing).encode()).hexdigest() == \
+            "f70851de526d5635ecf5176e8d3688179da0750dd309e72f7e22a0462076e6c7"

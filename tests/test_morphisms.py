@@ -1,20 +1,23 @@
 """The morphism complex: differential, closedness, composition, homotopy."""
 
+from functools import lru_cache
 from random import Random
 
 import pytest
 
+from strandcalc import f2
 from strandcalc.bimodules import identity_bimodule, make_bimodule
 from strandcalc.circles import torus_circle
 from strandcalc.errors import BimoduleMismatch, IdempotentMismatch, NotClosed
-from strandcalc.morphisms import (DAMorphism, compose, identity_morphism,
-                                  induced_on_homology, is_closed,
-                                  is_homotopic, is_naive_quasi_iso,
-                                  make_morphism, morphism_differential,
-                                  zero_morphism)
+from strandcalc.morphisms import (DAMorphism, _candidate_unknowns, compose,
+                                  identity_morphism, induced_on_homology,
+                                  is_closed, is_homotopic,
+                                  is_naive_quasi_iso, make_morphism,
+                                  morphism_differential, zero_morphism)
 from strandcalc.strands import build_dga
 
-from helpers import random_chained_table, random_unchained_table
+from helpers import (chained_coords, random_chained_table,
+                     random_unchained_table, ref_solve)
 
 A = build_dga(torus_circle(), label="A")
 I = identity_bimodule(A, label="I")
@@ -155,6 +158,81 @@ class TestIsHomotopic:
         # checked before the shortcut for equal morphisms
         with pytest.raises(ValueError):
             is_homotopic(ID, G, -1)
+
+
+@lru_cache(maxsize=None)
+def unrestricted_system(cap):
+    """Every chained coordinate of arity <= cap in sorted order, the rows
+    of the equations their images touch, and the (row, column) entries."""
+    columns = sorted(chained_coords(I, I, cap))
+    rows, entries = {}, set()
+    for col, (x, seq, out) in enumerate(columns):
+        image = morphism_differential(
+            DAMorphism(I, I, {(x, seq): frozenset((out,))})).table
+        for (x2, seq2), outs in image.items():
+            for out2 in outs:
+                entries.add((rows.setdefault((x2, seq2, out2), len(rows)),
+                             col))
+    return columns, rows, frozenset(entries)
+
+
+def unrestricted_witness(F, G, cap):
+    """The canonical solution of dH = F + G over every chained coordinate
+    of arity <= cap, as a table, or None when there is none."""
+    columns, rows, entries = unrestricted_system(cap)
+    rows = dict(rows)
+    # a seed that no image touches still needs its row
+    target = frozenset(rows.setdefault((x, seq, out), len(rows))
+                       for (x, seq), outs in (F + G).table.items()
+                       for out in outs)
+    solution = ref_solve(f2.F2Matrix(len(rows), len(columns), entries),
+                         f2.F2Vector(target))
+    if solution is None:
+        return None
+    table = {}
+    for col in solution.support:
+        x, seq, out = columns[col]
+        table.setdefault((x, seq), set()).add(out)
+    return {k: frozenset(v) for k, v in table.items()}
+
+
+class TestUnrestrictedOracle:
+    """The search restricts the system to the components meeting F + G and
+    prunes its candidate unknowns; neither may change the verdict or the
+    witness, which must be the unrestricted system's canonical solution."""
+
+    def test_matches_unrestricted_system(self):
+        outcomes = {"witness": 0, "not within cap": 0}
+        for seed in range(30):
+            rng = Random(seed)
+            cap = seed % 3
+            H = random_chained_table(rng, I, I, rng.randrange(3),
+                                     rng.randrange(1, 6))
+            G = ID + morphism_differential(H)
+            for other in (ID, ZERO):
+                result = is_homotopic(G, other, cap)
+                expect = unrestricted_witness(G, other, cap)
+                if expect is None:
+                    assert not result
+                    outcomes["not within cap"] += 1
+                else:
+                    assert result and result.h.table == expect
+                    outcomes["witness"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
+
+    @pytest.mark.parametrize("cap", [0, 1, 2])
+    def test_candidates_cover_every_incidence(self, cap):
+        # every unknown of arity <= cap is a candidate of every equation
+        # in its image
+        columns, rows, entries = unrestricted_system(cap)
+        equations = list(rows)
+        candidates = {}
+        for r, col in entries:
+            e = equations[r]
+            if e not in candidates:
+                candidates[e] = set(_candidate_unknowns(I, I, e, cap))
+            assert columns[col] in candidates[e]
 
 
 class TestInducedOnHomology:

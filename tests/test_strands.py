@@ -191,8 +191,9 @@ class TestBuildDGA:
         assert not asked and not B._mult
 
     def test_materialize_releases_the_closure(self):
-        # once every matched product is stored, the closure (and what it
-        # holds) is dropped, and every product reads as before
+        # once every matched product is computed, the closure (and what it
+        # holds) is dropped, only the nonzero products stay stored, and
+        # every product reads as before
         A = build_dga(T)
         asked = []
 
@@ -210,7 +211,10 @@ class TestBuildDGA:
         n = A.size
         matched = [(i, j) for i in range(n) for j in range(n)
                    if A.right_idem[i] == A.left_idem[j]]
-        assert sorted(B._mult) == sorted(asked) == matched
+        assert sorted(asked) == matched
+        assert B._mult == {(i, j): A.product(i, j) for i, j in matched
+                           if A.product(i, j)}
+        assert len(B._mult) < len(matched)
         for i in range(n):
             for j in range(n):
                 assert B.product(i, j) == A.product(i, j)
