@@ -220,7 +220,6 @@ class TestUnrestrictedOracle:
                     outcomes["witness"] += 1
         assert min(outcomes.values()) >= 20, outcomes
 
-
     @pytest.mark.parametrize("cap", [0, 1, 2])
     def test_candidates_cover_every_incidence(self, cap):
         # every unknown of arity <= cap is a candidate of every equation
