@@ -171,6 +171,9 @@ def parse_word(text: str, line: int | None = None, col: int = 0) -> Word:
             while j < len(text) and depth:
                 if text[j] == "[":
                     depth += 1
+                    if depth > MAX_TWIST_NESTING:
+                        raise ParseError("twist letters nested deeper than "
+                                         f"{MAX_TWIST_NESTING}", line, col + j)
                 elif text[j] == "]":
                     depth -= 1
                 j += 1
@@ -261,7 +264,8 @@ class CritLeaf(CLFExpression):
 @dataclass(frozen=True)
 class _Composition(CLFExpression):
     """Two or more parts and the circle labels of the outer edges, which
-    compose_h and compose_v set; equality and hashing see the parts only."""
+    compose_h and compose_v set; equality and hashing see the parts only
+    and recurse once per H/V alternation, so compare deep trees as text."""
 
     parts: tuple
     left_pmc: str | None = field(default=None, compare=False, repr=False)
@@ -282,28 +286,33 @@ def _parts(expr: CLFExpression, kind: type) -> tuple:
     return expr.parts if isinstance(expr, kind) else (expr,)
 
 
+def fold(expr: CLFExpression, leaf, node):
+    """Post-order fold without recursion: leaf(x) at each leaf, node(x,
+    values) at each composition, with its parts' values in order."""
+    todo, values = [(expr, False)], []
+    while todo:
+        x, ready = todo.pop()
+        if ready:
+            values[-len(x.parts):] = [node(x, values[-len(x.parts):])]
+        elif isinstance(x, _Composition):
+            todo += [(x, True)] + [(p, False) for p in reversed(x.parts)]
+        else:
+            values.append(leaf(x))
+    return values[0]
+
+
 def initial_word(expr: CLFExpression) -> Word:
-    if isinstance(expr, IdentityLeaf):
-        return expr.word
-    if isinstance(expr, CritLeaf):
-        return expr.clf.initial_word
-    if isinstance(expr, HComp):
-        return concat(*map(initial_word, expr.parts))
-    if isinstance(expr, VComp):
-        return initial_word(expr.parts[0])
-    raise TypeError(type(expr).__name__)
+    return fold(expr, lambda x: (x.word if isinstance(x, IdentityLeaf)
+                                 else x.clf.initial_word),
+                lambda x, words: (concat(*words) if isinstance(x, HComp)
+                                  else words[0]))
 
 
 def resulting_word(expr: CLFExpression) -> Word:
-    if isinstance(expr, IdentityLeaf):
-        return expr.word
-    if isinstance(expr, CritLeaf):
-        return expr.clf.resulting_word
-    if isinstance(expr, HComp):
-        return concat(*map(resulting_word, expr.parts))
-    if isinstance(expr, VComp):
-        return resulting_word(expr.parts[-1])
-    raise TypeError(type(expr).__name__)
+    return fold(expr, lambda x: (x.word if isinstance(x, IdentityLeaf)
+                                 else x.clf.resulting_word),
+                lambda x, words: (concat(*words) if isinstance(x, HComp)
+                                  else words[-1]))
 
 
 def left_pmc(expr: CLFExpression) -> str | None:
@@ -334,7 +343,8 @@ def compose_h(e1: CLFExpression, e2: CLFExpression) -> HComp:
 
 def compose_v(bottom: CLFExpression, top: CLFExpression) -> VComp:
     """Vertical composition; the middle words must agree when reduced."""
-    mid_b, mid_t = resulting_word(bottom), initial_word(top)
+    mid_b = resulting_word(_parts(bottom, VComp)[-1])
+    mid_t = initial_word(_parts(top, VComp)[0])
     if not words_equal(mid_b, mid_t):
         raise BoundaryMismatch(
             f"resulting word {word_str(mid_b)} does not match "
@@ -359,10 +369,8 @@ def same_boundaries(e1: CLFExpression, e2: CLFExpression) -> bool:
 
 def vcomp_count(expr: CLFExpression) -> int:
     """The number of binary vertical compositions: n - 1 per n-part V."""
-    if isinstance(expr, (IdentityLeaf, CritLeaf)):
-        return 0
-    joints = len(expr.parts) - 1 if isinstance(expr, VComp) else 0
-    return joints + sum(map(vcomp_count, expr.parts))
+    return fold(expr, lambda x: 0, lambda x, counts: sum(counts) + (
+        len(counts) - 1 if isinstance(x, VComp) else 0))
 
 
 def normalize_horizontal(expr: CLFExpression) -> CLFExpression:
@@ -374,18 +382,17 @@ def normalize_horizontal(expr: CLFExpression) -> CLFExpression:
     words are unchanged as reduced words, and each rewrite removes
     exactly one binary vertical composition.
     """
-    if isinstance(expr, (IdentityLeaf, CritLeaf)):
-        return expr
-    parts = [normalize_horizontal(p) for p in expr.parts]
-    if isinstance(expr, HComp):
-        return chain(parts)
-    out = parts[:1]
-    for below, above in zip(parts, parts[1:]):
-        out.append(IdentityLeaf(inverse(resulting_word(below)),
-                                left_pmc=right_pmc(below),
-                                right_pmc=left_pmc(above)))
-        out.append(above)
-    return chain(out)
+    def node(x: CLFExpression, parts: list) -> CLFExpression:
+        out = parts[:1]
+        for below, above in zip(parts, parts[1:]):
+            if isinstance(x, VComp):
+                out.append(IdentityLeaf(inverse(resulting_word(below)),
+                                        left_pmc=right_pmc(below),
+                                        right_pmc=left_pmc(above)))
+            out.append(above)
+        return chain(out)
+
+    return fold(expr, lambda x: x, node)
 
 
 def flatten(expr: CLFExpression) -> list[CLFExpression]:
@@ -515,6 +522,11 @@ class CLFAssignment:
             raise AssignmentIncomplete(
                 f"no morphism assigned to critical leaf with cycle "
                 f"{clf.cycle}")
+        src, tgt = map(self.word_bimodule,
+                       (clf.initial_word, clf.resulting_word))
+        if not (same_shape(got.source, src) and same_shape(got.target, tgt)):
+            raise BoundaryMismatch(
+                "assigned morphism does not match the leaf's boundary words")
         return got
 
 
@@ -528,21 +540,14 @@ def evaluate(expr: CLFExpression, assignment: CLFAssignment) -> DAMorphism:
     composition becomes composition, each folded over the parts from the
     left (both are associative).
     """
-    if isinstance(expr, IdentityLeaf):
-        return identity_morphism(assignment.word_bimodule(expr.word))
-    if isinstance(expr, CritLeaf):
-        F = assignment.crit_morphism(expr.clf)
-        want_src = assignment.word_bimodule(expr.clf.initial_word)
-        want_tgt = assignment.word_bimodule(expr.clf.resulting_word)
-        if not (same_shape(F.source, want_src)
-                and same_shape(F.target, want_tgt)):
-            raise BoundaryMismatch(
-                "assigned morphism does not match the leaf's boundary words")
-        return F
-    parts = (evaluate(p, assignment) for p in expr.parts)
-    if isinstance(expr, HComp):
-        return reduce(box_morphisms, parts)
-    return reduce(lambda below, above: compose(above, below), parts)
+    return fold(
+        expr,
+        lambda x: (identity_morphism(assignment.word_bimodule(x.word))
+                   if isinstance(x, IdentityLeaf)
+                   else assignment.crit_morphism(x.clf)),
+        lambda x, parts: (
+            reduce(box_morphisms, parts) if isinstance(x, HComp)
+            else reduce(lambda below, above: compose(above, below), parts)))
 
 
 # --- expression text form -----------------------------------------------------
@@ -550,20 +555,19 @@ def evaluate(expr: CLFExpression, assignment: CLFAssignment) -> DAMorphism:
 def expression_str(expr: CLFExpression) -> str:
     """The text form; an n-part node prints left-nested, as n - 1 binary
     H(.., ..) or V(.., ..) around its parts."""
-    if isinstance(expr, IdentityLeaf):
-        return f"ID({word_str(expr.word)})"
-    if isinstance(expr, CritLeaf):
-        clf = expr.clf
-        return (f"CRIT(fl={word_str(clf.f_l)}, fr={word_str(clf.f_r)}, "
-                f"vc={clf.cycle})")
-    first, *rest = map(expression_str, expr.parts)
-    head = "H(" if isinstance(expr, HComp) else "V("
-    return head * len(rest) + first + "".join(f", {p})" for p in rest)
+    return fold(
+        expr,
+        lambda x: (f"ID({word_str(x.word)})" if isinstance(x, IdentityLeaf)
+                   else f"CRIT(fl={word_str(x.clf.f_l)}, "
+                        f"fr={word_str(x.clf.f_r)}, vc={x.clf.cycle})"),
+        lambda x, texts: (("H(" if isinstance(x, HComp) else "V(")
+                          * (len(texts) - 1) + texts[0]
+                          + "".join(f", {t})" for t in texts[1:])))
 
 
 _OPEN = re.compile(r"\s*(ID|CRIT|H|V)\(")
 _NEXT = re.compile(r"\s*(.?)")
-MAX_ALTERNATION = 100
+MAX_TWIST_NESTING = 64  # word equality and hashing recurse per level
 
 
 def parse_expression(text: str, line: int | None = None,
@@ -574,10 +578,9 @@ def parse_expression(text: str, line: int | None = None,
     nesting depth costs no recursion: a ',' stores a frame's first
     argument and its ')' composes the two.  A leaf ends at its first ')',
     since words bracket only with [...].  Errors carry col plus the
-    offset of the offending character.  H and V nodes may alternate at
-    most MAX_ALTERNATION deep, since the tree walks recurse per node.
+    offset of the offending character.
     """
-    frames: list[list] = []  # [head, first argument or None, node depth]
+    frames: list[list] = []  # [head, first argument or None]
     i = 0
     while True:
         m = _OPEN.match(text, i)
@@ -587,11 +590,7 @@ def parse_expression(text: str, line: int | None = None,
                              line, col + i)
         head, i = m.group(1), m.end()
         if head in ("H", "V"):
-            depth = frames[-1][2] + (frames[-1][0] != head) if frames else 1
-            if depth > MAX_ALTERNATION:
-                raise ParseError(f"H/V nesting deeper than {MAX_ALTERNATION}",
-                                 line, col + m.start(1))
-            frames.append([head, None, depth])
+            frames.append([head, None])
             continue
         close = text.find(")", i)
         if close < 0:
@@ -606,7 +605,7 @@ def parse_expression(text: str, line: int | None = None,
                     raise ParseError(f"trailing input {text[at:].strip()!r}",
                                      line, col + at)
                 return expr
-            head, first, _ = frames[-1]
+            head, first = frames[-1]
             if sep == "," and first is None:
                 frames[-1][1] = expr
                 break

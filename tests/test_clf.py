@@ -23,8 +23,8 @@ from strandcalc.clf import (AbstractCLF, CLFAssignment, CritLeaf, CycleLabel,
                             expression_str, flatten, hurwitz,
                             initial_word, inverse, letter, normalize_horizontal,
                             parse_cycle_label, parse_expression, parse_word,
-                            resulting_word, standard_form, twist, vcomp_count,
-                            word_str, words_equal)
+                            resulting_word, same_boundaries, standard_form,
+                            twist, vcomp_count, word_str, words_equal)
 
 from helpers import random_chained_table
 
@@ -339,24 +339,35 @@ class TestExpressionText:
         F = evaluate(expr, toy_assignment())
         assert F.table == identity_morphism(F.source).table
 
-    def test_alternation_limit(self):
-        # each V(H(.., ID(e)), ID(a)) wraps two alternating nodes; the walks
-        # recurse once per node, so the parser stops at MAX_ALTERNATION
-        text = "ID(a)"
-        for _ in range(clf.MAX_ALTERNATION // 2):
-            text = f"V(H({text}, ID(e)), ID(a))"
-        expr = parse_expression(text)
-        assert vcomp_count(expr) == clf.MAX_ALTERNATION // 2
-        flat = normalize_horizontal(expr)
-        assert words_equal(resulting_word(flat), resulting_word(expr))
-        assert evaluate(expr, toy_assignment()).table
-        # a V around the outer V joins it; an H around it is one node more,
-        # reported at the innermost H(
-        assert len(parse_expression(f"V(ID(a), {text})").parts) == 3
+    def test_deep_alternation(self):
+        # each V(H(.., ID(e)), ID(T[e@z])) wraps two alternating nodes, so
+        # 300 layers alternate 600 deep; every walk is one iterative fold.
+        # Trees compare by text: the generated == still recurses per node
+        crit = CritLeaf(AbstractCLF(EMPTY_WORD, EMPTY_WORD, ZETA))
+        text, built = expression_str(crit), crit
+        for _ in range(300):
+            text = f"V(H({text}, ID(e)), ID(T[e@z]))"
+            built = compose_v(compose_h(built, IdentityLeaf(EMPTY_WORD)),
+                              IdentityLeaf(twist(ZETA)))
+        for expr in (parse_expression(text), built):
+            assert vcomp_count(expr) == 300
+            assert expression_str(expr) == text
+            flat = normalize_horizontal(expr)
+            assert vcomp_count(flat) == 0
+            assert same_boundaries(expr, flat)
+            assert is_closed(evaluate(expr, toy_assignment())).closed
+
+    def test_twist_nesting_limit(self):
+        # T[..] letters nest MAX_TWIST_NESTING deep; one more is a parse
+        # error at the first bracket past the limit
+        def nested(n):
+            return "T[" * n + "e@z" + "]@z" * (n - 1) + "]"
+
+        limit = clf.MAX_TWIST_NESTING
+        assert word_str(parse_word(nested(limit))) == nested(limit)
         with pytest.raises(ParseError) as info:
-            parse_expression(f"H({text}, ID(b))", 3, 10)
-        assert (info.value.line, info.value.column) == \
-            (3, 10 + 2 * clf.MAX_ALTERNATION)
+            parse_expression(f"ID(a{nested(limit + 1)})", 4, 10)
+        assert (info.value.line, info.value.column) == (4, 10 + 5 + 2 * limit)
 
     def test_vertical_chain_parses_as_fast_as_horizontal(self):
         # compose_v reads the stored labels of its two sides instead of

@@ -6,6 +6,9 @@ import re
 import subprocess
 import sys
 
+from strandcalc import cli
+from strandcalc.clf import MAX_TWIST_NESTING
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TUTORIAL = os.path.join(ROOT, "tutorial", "torus.bhf")
 
@@ -17,6 +20,19 @@ def run(*args, doc=TUTORIAL):
         [sys.executable, "-m", "strandcalc.cli", "-f", doc, *args],
         capture_output=True, text=True, env=env)
     return proc
+
+
+def label(n):
+    """A cycle label whose prefix nests twist letters n deep."""
+    return "T[" * n + "e@z" + "]@z" * n
+
+
+def twist_clfs(n):
+    """CLF lines whose words nest twist letters n deep at most."""
+    return (f"CLF DEEP = V(CRIT(fl=e, fr=e, vc={label(n - 1)}), "
+            f"ID(T[{label(n - 1)}]))\n"
+            f"CLF PAIR = H(CRIT(fl=e, fr=e, vc={label(n)}), "
+            f"CRIT(fl=e, fr=e, vc={label(n)}))\n")
 
 
 class TestExitCodes:
@@ -51,20 +67,42 @@ class TestExitCodes:
         proc = run("pmc", "check", "NOPE")
         assert proc.returncode == 2
 
-    def test_internal_error_is_not_one(self, tmp_path):
-        # alternating V/H nesting still recurses once per level; the crash
-        # must not read as a failing property, nor end in a traceback
-        expr = "ID(a)"
-        for _ in range(600):
-            expr = f"V(H({expr}, ID(e)), ID(a))"
-        doc = tmp_path / "alternating.bhf"
-        doc.write_text(f"CLF D = {expr}\n")
-        proc = run("clf", "normalize", "D", doc=str(doc))
-        assert proc.returncode != 1
-        assert "Traceback" not in proc.stderr
-        if proc.returncode == 3:
-            assert proc.stderr.startswith("error: internal: ")
-            assert proc.stderr.count("\n") == 1
+    def test_internal_error_is_not_one(self, monkeypatch, capsys):
+        # a fault of strandcalc itself must not read as a failing property,
+        # nor end in a traceback
+        def crash(doc, args):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(cli, "_cmd_pmc", crash)
+        assert cli.main(["-f", TUTORIAL, "pmc", "check", "T"]) == 3
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == "error: internal: RuntimeError: injected fault\n"
+
+    def test_twist_nesting_at_limit(self, tmp_path):
+        # the rewrites and evaluation compare, hash and print words, which
+        # recurse once per level; hurwitz nests one level deeper
+        deep = tmp_path / "deep.bhf"
+        deep.write_text(open(TUTORIAL).read() + twist_clfs(MAX_TWIST_NESTING))
+        for args in (["normalize", "DEEP"], ["hurwitz", "PAIR"],
+                     ["standard", "PAIR", "--vc", label(MAX_TWIST_NESTING)],
+                     ["evaluate", "DEEP", "--assign", "S"],
+                     ["evaluate", "PAIR", "--assign", "S"]):
+            proc = run("clf", *args, doc=str(deep))
+            assert proc.returncode == 0, (args, proc.stderr)
+
+    def test_twist_nesting_past_limit_is_two(self, tmp_path):
+        text = open(TUTORIAL).read()
+        deep = tmp_path / "deep.bhf"
+        deep.write_text(text + twist_clfs(MAX_TWIST_NESTING + 1))
+        proc = run("clf", "normalize", "DEEP", doc=str(deep))
+        assert proc.returncode == 2 and not proc.stdout
+        line = twist_clfs(MAX_TWIST_NESTING + 1).splitlines()[0]
+        col = line.index("T[" * (MAX_TWIST_NESTING + 1)) + \
+            2 * MAX_TWIST_NESTING + 1
+        assert proc.stderr == (
+            f"error: line {text.count(chr(10)) + 1}, col {col}: twist "
+            f"letters nested deeper than {MAX_TWIST_NESTING}\n")
 
     def test_alternating_nesting_ends_cleanly(self, tmp_path):
         expr = "ID(a)"
