@@ -22,12 +22,11 @@ A decomposition is a tree with leaves Identity(word) or Crit(f_l, f_r,
 cycle) and nodes for horizontal and vertical composition.  A critical
 leaf derives its initial word f_l . f_r and resulting word
 f_l . T[cycle] . f_r; horizontal composition concatenates words and
-vertical composition requires the middle words to agree.  Leaves may
-carry formal circle names for their left/right edges; when both sides of
-a horizontal composition declare one, they must match.  Both
+vertical composition requires the middle words to agree.  Both
 compositions are associative, so a node holds the flat tuple of its
 parts (left to right, bottom to top) and a chain of one kind is never
-nested.
+nested.  Each node also holds the initial and resulting words of the
+whole, set once when it is built, so reading them costs no walk.
 
 evaluate maps a tree to a bimodule morphism: identity leaves to identity
 morphisms of box-chains of letter bimodules, critical leaves to assigned
@@ -38,7 +37,7 @@ composition to composition.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import reduce
 
 from .bimodules import TypeDABimodule, identity_bimodule
@@ -97,7 +96,17 @@ class Twist:
 
 
 def concat(*words: Word) -> Word:
-    return Word(tuple(lt for w in words for lt in w.letters))
+    """The reduced product.  The factors are reduced, so letters cancel
+    only across each junction and the result needs no second pass."""
+    out: tuple = ()
+    for w in words:
+        k, n = 0, min(len(out), len(w.letters))
+        while k < n and out[-1 - k] == (w.letters[k][0], not w.letters[k][1]):
+            k += 1
+        out = out[:len(out) - k] + w.letters[k:]
+    word = object.__new__(Word)
+    object.__setattr__(word, "letters", out)
+    return word
 
 
 def inverse(w: Word) -> Word:
@@ -229,8 +238,6 @@ class AbstractCLF:
     f_l: Word
     f_r: Word
     cycle: CycleLabel
-    left_pmc: str | None = None
-    right_pmc: str | None = None
 
     @property
     def initial_word(self) -> Word:
@@ -252,34 +259,59 @@ class CLFExpression:
 @dataclass(frozen=True)
 class IdentityLeaf(CLFExpression):
     word: Word
-    left_pmc: str | None = None
-    right_pmc: str | None = None
+
+    initial = resulting = property(lambda self: self.word)
 
 
 @dataclass(frozen=True)
 class CritLeaf(CLFExpression):
     clf: AbstractCLF
 
+    initial = property(lambda self: self.clf.initial_word)
+    resulting = property(lambda self: self.clf.resulting_word)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class _Composition(CLFExpression):
-    """Two or more parts and the circle labels of the outer edges, which
-    compose_h and compose_v set; equality and hashing see the parts only
-    and recurse once per H/V alternation, so compare deep trees as text."""
+    """Two or more parts and the boundary words of the whole, which
+    compose_h and compose_v set (every leaf has .initial and .resulting
+    too).  Equality and hashing compare the flat preorder of node kinds,
+    part counts and leaves, built without recursion, so trees of any
+    depth compare exactly."""
 
     parts: tuple
-    left_pmc: str | None = field(default=None, compare=False, repr=False)
-    right_pmc: str | None = field(default=None, compare=False, repr=False)
+    initial: Word
+    resulting: Word
+
+    def _key(self) -> tuple:
+        key, todo = [], [self]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, _Composition):
+                key.append((type(x), len(x.parts)))
+                todo += reversed(x.parts)
+            else:
+                key.append(x)
+        return tuple(key)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Composition) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return expression_str(self)
 
 
 class HComp(_Composition):
-    """Horizontal composition, left to right; the edge labels are those of
-    the first and last parts."""
+    """Horizontal composition, left to right; the words are the products
+    of the parts' words."""
 
 
 class VComp(_Composition):
-    """Vertical composition, bottom to top; each edge label is the first
-    one declared on that side by any part."""
+    """Vertical composition, bottom to top; the initial word is the first
+    part's and the resulting word the last part's."""
 
 
 def _parts(expr: CLFExpression, kind: type) -> tuple:
@@ -302,61 +334,28 @@ def fold(expr: CLFExpression, leaf, node):
 
 
 def initial_word(expr: CLFExpression) -> Word:
-    return fold(expr, lambda x: (x.word if isinstance(x, IdentityLeaf)
-                                 else x.clf.initial_word),
-                lambda x, words: (concat(*words) if isinstance(x, HComp)
-                                  else words[0]))
+    return expr.initial
 
 
 def resulting_word(expr: CLFExpression) -> Word:
-    return fold(expr, lambda x: (x.word if isinstance(x, IdentityLeaf)
-                                 else x.clf.resulting_word),
-                lambda x, words: (concat(*words) if isinstance(x, HComp)
-                                  else words[-1]))
-
-
-def left_pmc(expr: CLFExpression) -> str | None:
-    if isinstance(expr, CritLeaf):
-        return expr.clf.left_pmc
-    if isinstance(expr, (IdentityLeaf, _Composition)):
-        return expr.left_pmc
-    raise TypeError(type(expr).__name__)
-
-
-def right_pmc(expr: CLFExpression) -> str | None:
-    if isinstance(expr, CritLeaf):
-        return expr.clf.right_pmc
-    if isinstance(expr, (IdentityLeaf, _Composition)):
-        return expr.right_pmc
-    raise TypeError(type(expr).__name__)
+    return expr.resulting
 
 
 def compose_h(e1: CLFExpression, e2: CLFExpression) -> HComp:
-    """Horizontal composition; checks the shared edge's circle labels."""
-    r, l = right_pmc(e1), left_pmc(e2)
-    if r is not None and l is not None and r != l:
-        raise BoundaryMismatch(
-            f"right edge {r!r} does not match left edge {l!r}")
+    """Horizontal composition; the words multiply."""
     return HComp(_parts(e1, HComp) + _parts(e2, HComp),
-                 left_pmc(e1), right_pmc(e2))
+                 concat(e1.initial, e2.initial),
+                 concat(e1.resulting, e2.resulting))
 
 
 def compose_v(bottom: CLFExpression, top: CLFExpression) -> VComp:
     """Vertical composition; the middle words must agree when reduced."""
-    mid_b = resulting_word(_parts(bottom, VComp)[-1])
-    mid_t = initial_word(_parts(top, VComp)[0])
-    if not words_equal(mid_b, mid_t):
+    if not words_equal(bottom.resulting, top.initial):
         raise BoundaryMismatch(
-            f"resulting word {word_str(mid_b)} does not match "
-            f"initial word {word_str(mid_t)}")
-    labels = []
-    for side, a, b in (("left", left_pmc(bottom), left_pmc(top)),
-                       ("right", right_pmc(bottom), right_pmc(top))):
-        if a is not None and b is not None and a != b:
-            raise BoundaryMismatch(
-                f"{side} circles {a!r} and {b!r} differ")
-        labels.append(b if a is None else a)
-    return VComp(_parts(bottom, VComp) + _parts(top, VComp), *labels)
+            f"resulting word {word_str(bottom.resulting)} does not match "
+            f"initial word {word_str(top.initial)}")
+    return VComp(_parts(bottom, VComp) + _parts(top, VComp),
+                 bottom.initial, top.resulting)
 
 
 def same_boundaries(e1: CLFExpression, e2: CLFExpression) -> bool:
@@ -386,9 +385,7 @@ def normalize_horizontal(expr: CLFExpression) -> CLFExpression:
         out = parts[:1]
         for below, above in zip(parts, parts[1:]):
             if isinstance(x, VComp):
-                out.append(IdentityLeaf(inverse(resulting_word(below)),
-                                        left_pmc=right_pmc(below),
-                                        right_pmc=left_pmc(above)))
+                out.append(IdentityLeaf(inverse(resulting_word(below))))
             out.append(above)
         return chain(out)
 
@@ -456,7 +453,6 @@ def standard_form(expr: CLFExpression,
     out: list[CLFExpression] = []
     conjugators: list[Word] = []
     pending = EMPTY_WORD
-    left_label = left_pmc(expr)
     for leaf in leaves:
         if isinstance(leaf, IdentityLeaf):
             pending = concat(pending, leaf.word)
@@ -469,12 +465,10 @@ def standard_form(expr: CLFExpression,
                 f"{wg.cycle.base!r}")
         u = concat(clf.cycle.prefix, inverse(wg.cycle.prefix))
         conjugators.append(u)
-        out.append(IdentityLeaf(concat(pending, u), left_pmc=left_label))
-        left_label = None
+        out.append(IdentityLeaf(concat(pending, u)))
         out.append(CritLeaf(wg))
         pending = concat(inverse(u), clf.f_r)
-    out.append(IdentityLeaf(pending, left_pmc=left_label,
-                            right_pmc=right_pmc(expr)))
+    out.append(IdentityLeaf(pending))
     return chain(out), conjugators
 
 
@@ -578,9 +572,10 @@ def parse_expression(text: str, line: int | None = None,
     nesting depth costs no recursion: a ',' stores a frame's first
     argument and its ')' composes the two.  A leaf ends at its first ')',
     since words bracket only with [...].  Errors carry col plus the
-    offset of the offending character.
+    offset of the offending character; a V whose middle words differ is
+    located at its head.
     """
-    frames: list[list] = []  # [head, first argument or None]
+    frames: list[list] = []  # [head, its offset, first argument or None]
     i = 0
     while True:
         m = _OPEN.match(text, i)
@@ -590,7 +585,7 @@ def parse_expression(text: str, line: int | None = None,
                              line, col + i)
         head, i = m.group(1), m.end()
         if head in ("H", "V"):
-            frames.append([head, None])
+            frames.append([head, m.start(1), None])
             continue
         close = text.find(")", i)
         if close < 0:
@@ -605,13 +600,17 @@ def parse_expression(text: str, line: int | None = None,
                     raise ParseError(f"trailing input {text[at:].strip()!r}",
                                      line, col + at)
                 return expr
-            head, first = frames[-1]
+            head, start, first = frames[-1]
             if sep == "," and first is None:
-                frames[-1][1] = expr
+                frames[-1][2] = expr
                 break
             if sep == ")" and first is not None:
                 frames.pop()
-                expr = (compose_h if head == "H" else compose_v)(first, expr)
+                join = compose_h if head == "H" else compose_v
+                try:
+                    expr = join(first, expr)
+                except BoundaryMismatch as exc:
+                    raise ParseError(str(exc), line, col + start) from None
                 continue
             raise ParseError(f"{head} takes two arguments" if sep
                              else "unbalanced parentheses", line, col + at)

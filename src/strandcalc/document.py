@@ -321,14 +321,9 @@ def _parse_morphism(doc: Document, cur: _Cursor, block) -> None:
 def _parse_clf(doc: Document, cur: _Cursor, block) -> None:
     name = cur.word()
     cur.literal("=")
-    try:
-        cur.skip_ws()
-        start = cur.base + cur.pos
-        expr = clfmod.parse_expression(cur.rest(), cur.line, start)
-    except StrandCalcError as exc:
-        if isinstance(exc, DocumentError):
-            raise
-        raise ParseError(str(exc), cur.line, 0) from None
+    cur.skip_ws()
+    start = cur.base + cur.pos
+    expr = clfmod.parse_expression(cur.rest(), cur.line, start)
     doc.add(Declaration("clf", name, cur.line, 0, expr))
 
 

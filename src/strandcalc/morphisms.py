@@ -175,10 +175,13 @@ class Closedness:
 
 
 def is_closed(F: DAMorphism) -> Closedness:
-    """dF = 0 at every arity (complete by boundedness of the tables)."""
-    witness = first_entry(F.source, F.target,
-                          morphism_differential(F).table)
-    return Closedness(witness is None, witness)
+    """dF = 0 at every arity (complete by boundedness of the tables);
+    proved at the first call and kept on F, whose table never changes."""
+    if "_closedness" not in F.__dict__:
+        witness = first_entry(F.source, F.target,
+                              morphism_differential(F).table)
+        F._closedness = Closedness(witness is None, witness)
+    return F._closedness
 
 
 def compose(G: DAMorphism, F: DAMorphism) -> DAMorphism:

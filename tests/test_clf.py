@@ -103,29 +103,30 @@ class TestCompose:
         assert word_str(initial_word(h)) == "ab"
         assert word_str(resulting_word(h)) == "ab"
 
-    def test_pmc_labels_checked(self):
-        left = IdentityLeaf(A_LET, right_pmc="c1")
-        right = IdentityLeaf(B_LET, left_pmc="c2")
-        with pytest.raises(BoundaryMismatch):
-            compose_h(left, right)
-        compose_h(left, IdentityLeaf(B_LET, left_pmc="c1"))
+    def test_nodes_carry_boundary_words(self):
+        a, b = IdentityLeaf(A_LET), IdentityLeaf(B_LET)
+        crit = CritLeaf(AbstractCLF(A_LET, EMPTY_WORD, ZETA))
+        v = compose_v(crit, compose_h(a, IdentityLeaf(twist(ZETA))))
+        assert (v.initial, v.resulting) == (A_LET, concat(A_LET, twist(ZETA)))
+        h = compose_h(a, compose_h(b, v))
+        assert word_str(h.initial) == "aba"
+        assert word_str(h.resulting) == "abaT[e@z]"
 
-    def test_labels_stored_on_nodes(self):
-        # H takes its outer parts' labels, V the first declared on each
-        # side; the stored labels take no part in equality or hashing
-        h = compose_h(compose_h(IdentityLeaf(A_LET, left_pmc="c0"),
-                                IdentityLeaf(B_LET)),
-                      IdentityLeaf(A_LET, right_pmc="c2"))
-        assert (clf.left_pmc(h), clf.right_pmc(h)) == ("c0", "c2")
-        a = IdentityLeaf(A_LET)
-        v = compose_v(compose_v(a, IdentityLeaf(A_LET, right_pmc="r")),
-                      compose_h(IdentityLeaf(A_LET, left_pmc="l"),
-                                IdentityLeaf(EMPTY_WORD)))
-        assert (clf.left_pmc(v), clf.right_pmc(v)) == ("l", "r")
-        assert v == VComp(v.parts) and hash(v) == hash(VComp(v.parts))
-        assert h == HComp(h.parts) and hash(h) == hash(HComp(h.parts))
-        with pytest.raises(BoundaryMismatch):
-            compose_v(v, IdentityLeaf(A_LET, right_pmc="s"))
+    def test_equality_is_structural(self):
+        # nodes compare and hash by kinds, part counts and leaves, so the
+        # two associations of one chain are the same tree
+        a, b = IdentityLeaf(A_LET), IdentityLeaf(B_LET)
+        h = compose_h(compose_h(a, b), a)
+        assert h == compose_h(a, compose_h(b, a))
+        assert hash(h) == hash(compose_h(a, compose_h(b, a)))
+        top = compose_h(a, IdentityLeaf(EMPTY_WORD))
+        v = compose_v(compose_v(a, a), top)
+        assert v == compose_v(a, compose_v(a, top))
+        assert hash(v) == hash(compose_v(a, compose_v(a, top)))
+        assert h != compose_h(a, compose_h(a, b))
+        assert v != compose_v(a, top)
+        assert compose_h(a, a) != compose_v(a, a)
+        assert repr(v) == "V(V(ID(a), ID(a)), H(ID(a), ID(e)))"
 
 
 # --- rewrites ------------------------------------------------------------------
@@ -305,8 +306,13 @@ class TestExpressionText:
             assert expression_str(parse_expression(text)) == text
 
     def test_boundary_checked_at_parse(self):
-        with pytest.raises(BoundaryMismatch):
-            parse_expression("V(CRIT(fl=e, fr=e, vc=e@z), ID(a))")
+        # a V whose middle words differ is a parse error at that V
+        for text, column in (("V(CRIT(fl=e, fr=e, vc=e@z), ID(a))", 0),
+                             ("H(ID(a), V(ID(a), ID(b)))", 9)):
+            with pytest.raises(ParseError) as info:
+                parse_expression(text, 3, 8)
+            assert (info.value.line, info.value.column) == (3, 8 + column)
+            assert "does not match" in str(info.value)
 
     @given(st.recursive(leaf_strategy, compose_strategy, max_leaves=12))
     def test_round_trip_random_trees(self, expr):
@@ -339,23 +345,55 @@ class TestExpressionText:
         F = evaluate(expr, toy_assignment())
         assert F.table == identity_morphism(F.source).table
 
-    def test_deep_alternation(self):
-        # each V(H(.., ID(e)), ID(T[e@z])) wraps two alternating nodes, so
-        # 300 layers alternate 600 deep; every walk is one iterative fold.
-        # Trees compare by text: the generated == still recurses per node
-        crit = CritLeaf(AbstractCLF(EMPTY_WORD, EMPTY_WORD, ZETA))
-        text, built = expression_str(crit), crit
-        for _ in range(300):
+    @staticmethod
+    def _alternating(layers, inner="CRIT(fl=e, fr=e, vc=e@z)"):
+        # each V(H(.., ID(e)), ID(T[e@z])) wraps two alternating nodes
+        text = inner
+        for _ in range(layers):
             text = f"V(H({text}, ID(e)), ID(T[e@z]))"
+        return text
+
+    def test_deep_alternation(self):
+        # 600 layers alternate 1,200 deep; every walk is one iterative fold
+        # and equality, hashing and repr walk the tree without recursion
+        text = self._alternating(600)
+        crit = CritLeaf(AbstractCLF(EMPTY_WORD, EMPTY_WORD, ZETA))
+        built = crit
+        for _ in range(600):
             built = compose_v(compose_h(built, IdentityLeaf(EMPTY_WORD)),
                               IdentityLeaf(twist(ZETA)))
-        for expr in (parse_expression(text), built):
-            assert vcomp_count(expr) == 300
+        first, second = parse_expression(text), parse_expression(text)
+        assert first is not second
+        assert first == second == built and hash(first) == hash(second)
+        assert repr(first) == repr(second) == text
+        deep_change = "H(ID(a), CRIT(fl=a', fr=e, vc=e@z))"
+        assert first != parse_expression(self._alternating(600, deep_change))
+        for expr in (first, built):
+            assert vcomp_count(expr) == 600
             assert expression_str(expr) == text
             flat = normalize_horizontal(expr)
             assert vcomp_count(flat) == 0
             assert same_boundaries(expr, flat)
-            assert is_closed(evaluate(expr, toy_assignment())).closed
+        assert is_closed(evaluate(first, toy_assignment())).closed
+
+    def test_alternation_work_is_linear(self, monkeypatch):
+        # nodes store their boundary words, so building a node multiplies
+        # its parts' words once instead of re-walking its subtree
+        calls = [0]
+        counted = clf.concat
+
+        def concat(*words):
+            calls[0] += 1
+            return counted(*words)
+
+        monkeypatch.setattr(clf, "concat", concat)
+        work = {}
+        for layers in (300, 600, 1200):
+            text = self._alternating(layers)
+            calls[0] = 0
+            normalize_horizontal(parse_expression(text))
+            work[layers] = calls[0]
+        assert work[1200] - work[600] == 2 * (work[600] - work[300]) > 0
 
     def test_twist_nesting_limit(self):
         # T[..] letters nest MAX_TWIST_NESTING deep; one more is a parse
@@ -370,7 +408,7 @@ class TestExpressionText:
         assert (info.value.line, info.value.column) == (4, 10 + 5 + 2 * limit)
 
     def test_vertical_chain_parses_as_fast_as_horizontal(self):
-        # compose_v reads the stored labels of its two sides instead of
+        # compose_v reads the stored words of its two sides instead of
         # scanning every part, so building a chain link by link is linear
         texts = {}
         for head in "HV":

@@ -79,6 +79,15 @@ class TestExitCodes:
         assert not out
         assert err == "error: internal: RuntimeError: injected fault\n"
 
+    def test_vertical_mismatch_located_at_its_v(self, tmp_path, capsys):
+        doc = tmp_path / "mismatch.bhf"
+        doc.write_text("CLF Y = H(ID(a), V(ID(a), ID(b)))\n")
+        assert cli.main(["-f", str(doc), "clf", "normalize", "Y"]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == ("error: line 1, col 17: resulting word a does not "
+                       "match initial word b\n")
+
     def test_twist_nesting_at_limit(self, tmp_path):
         # the rewrites and evaluation compare, hash and print words, which
         # recurse once per level; hurwitz nests one level deeper

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from strandcalc import f2
+from strandcalc import f2, morphisms
 from strandcalc.bimodules import identity_bimodule, make_bimodule
 from strandcalc.circles import torus_circle
 from strandcalc.errors import BimoduleMismatch, IdempotentMismatch, NotClosed
@@ -73,6 +73,27 @@ class TestIsClosed:
         closed = is_closed(F)
         assert not closed
         assert closed.witness is not None
+
+    def test_proved_once_per_morphism(self, monkeypatch):
+        # the answer is kept on the morphism, and is_homotopic's closedness
+        # precondition reads it instead of proving it again
+        calls = [0]
+        counted = morphisms.morphism_differential
+
+        def differential(H):
+            calls[0] += 1
+            return counted(H)
+
+        monkeypatch.setattr(morphisms, "morphism_differential", differential)
+        F = identity_morphism(I) + ZERO
+        assert is_closed(F) and is_closed(F)
+        assert is_homotopic(F, F, 0)
+        assert calls[0] == 1
+        G = DAMorphism(I, I, {(GI0, ()): frozenset(((R12, GI0),))})
+        for _ in range(2):
+            with pytest.raises(NotClosed):
+                is_homotopic(G, F, 0)
+        assert calls[0] == 2
 
 
 class TestCompose:
