@@ -12,8 +12,8 @@ from .bimodules import (TypeDABimodule, arity_zero_complex, check_structure,
                         compute_Dn, homology, identity_bimodule,
                         make_bimodule)
 from .morphisms import (DAMorphism, HomotopyWitness, NotWithinCap, compose,
-                        identity_morphism, induced_on_homology, is_closed,
-                        is_homotopic, is_naive_quasi_iso, make_morphism,
+                        identity_morphism, is_closed, is_homotopic,
+                        is_naive_quasi_iso, make_morphism,
                         morphism_differential, same_shape, zero_morphism)
 from .boxes import (box_bimodules, box_morphism_left, box_morphism_right,
                     box_morphisms)
@@ -30,9 +30,8 @@ __all__ = [
     "TypeDABimodule", "arity_zero_complex", "check_structure", "compute_Dn",
     "homology", "identity_bimodule", "make_bimodule",
     "DAMorphism", "HomotopyWitness", "NotWithinCap", "compose",
-    "identity_morphism", "induced_on_homology", "is_closed", "is_homotopic",
-    "is_naive_quasi_iso", "make_morphism", "morphism_differential",
-    "same_shape", "zero_morphism",
+    "identity_morphism", "is_closed", "is_homotopic", "is_naive_quasi_iso",
+    "make_morphism", "morphism_differential", "same_shape", "zero_morphism",
     "box_bimodules", "box_morphism_left", "box_morphism_right",
     "box_morphisms",
     "clf", "document", "errors", "f2",

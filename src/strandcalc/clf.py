@@ -98,14 +98,15 @@ class Twist:
 def concat(*words: Word) -> Word:
     """The reduced product.  The factors are reduced, so letters cancel
     only across each junction and the result needs no second pass."""
-    out: tuple = ()
+    out: list = []
     for w in words:
         k, n = 0, min(len(out), len(w.letters))
         while k < n and out[-1 - k] == (w.letters[k][0], not w.letters[k][1]):
             k += 1
-        out = out[:len(out) - k] + w.letters[k:]
+        del out[len(out) - k:]
+        out += w.letters[k:]
     word = object.__new__(Word)
-    object.__setattr__(word, "letters", out)
+    object.__setattr__(word, "letters", tuple(out))
     return word
 
 
@@ -341,11 +342,21 @@ def resulting_word(expr: CLFExpression) -> Word:
     return expr.resulting
 
 
+def chain(parts: list[CLFExpression]) -> CLFExpression:
+    """One horizontal node over the parts, H parts flattened in; the
+    words multiply.  No part gives ID(e) and one part gives itself."""
+    if len(parts) < 2:
+        return parts[0] if parts else IdentityLeaf(EMPTY_WORD)
+    flat: list = []
+    for e in parts:
+        flat += _parts(e, HComp)
+    return HComp(tuple(flat), concat(*(e.initial for e in parts)),
+                 concat(*(e.resulting for e in parts)))
+
+
 def compose_h(e1: CLFExpression, e2: CLFExpression) -> HComp:
     """Horizontal composition; the words multiply."""
-    return HComp(_parts(e1, HComp) + _parts(e2, HComp),
-                 concat(e1.initial, e2.initial),
-                 concat(e1.resulting, e2.resulting))
+    return chain([e1, e2])
 
 
 def compose_v(bottom: CLFExpression, top: CLFExpression) -> VComp:
@@ -398,10 +409,6 @@ def flatten(expr: CLFExpression) -> list[CLFExpression]:
     if any(isinstance(leaf, VComp) for leaf in leaves):
         raise NotInTwistForm("expression is not a horizontal chain")
     return leaves
-
-
-def chain(leaves: list[CLFExpression]) -> CLFExpression:
-    return reduce(compose_h, leaves) if leaves else IdentityLeaf(EMPTY_WORD)
 
 
 def prune_empty_identities(leaves: list[CLFExpression]) -> list[CLFExpression]:

@@ -152,18 +152,6 @@ def kernel_basis(m: F2Matrix) -> list[F2Vector]:
     return basis
 
 
-def independent_modulo(m: F2Matrix,
-                       vectors: Iterable[F2Vector]) -> list[F2Vector]:
-    """Greedy choice: the vectors, in order, that lie outside the span of
-    m's columns and of the vectors kept before them."""
-    columns = [0] * m.cols
-    for r, c in m.entries:
-        columns[c] |= 1 << r
-    pivots = _eliminate(columns)
-    return [v for v in vectors
-            if _insert(pivots, sum(1 << i for i in v.support))]
-
-
 def solve(m: F2Matrix, target: F2Vector) -> F2Vector | None:
     """One solution of m.x = target, or None when the system is inconsistent.
 

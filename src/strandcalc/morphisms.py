@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import f2
-from .bimodules import (DATable, Key, Span, TypeDABimodule, checked_table,
-                        first_entry)
+from .bimodules import (DATable, Key, Span, TypeDABimodule,
+                        arity_zero_complex, checked_table, first_entry)
 from .errors import BimoduleMismatch, NotClosed
 
 Coord = tuple[int, tuple[int, ...], tuple[int, int]]
@@ -324,71 +324,31 @@ def is_homotopic(F: DAMorphism, G: DAMorphism,
     return HomotopyWitness(witness, cap)
 
 
-# --- induced maps on arity-zero homology ----------------------------------
-
-def _homology_data(M: TypeDABimodule):
-    """Representatives of the arity-zero homology, plus the complex data.
-
-    Returns (basis, boundary, reps) where reps are F2Vectors over the
-    basis: kernel vectors chosen greedily to be independent modulo the
-    image of the boundary.
-    """
-    from .bimodules import arity_zero_complex
-    basis, boundary = arity_zero_complex(M)
-    reps = f2.independent_modulo(boundary, f2.kernel_basis(boundary))
-    return basis, boundary, reps
-
-
-def induced_on_homology(F: DAMorphism) -> f2.F2Matrix:
-    """Matrix of the arity-zero part of F on homology.
-
-    The arity-zero part sends b (x) x to sum mu_2(b, b') (x) y over
-    F(x, []) = sum b' (x) y; being closed, it is a chain map and descends.
-    Columns index source homology representatives, rows target ones.
-    """
-    if not is_closed(F):
-        raise NotClosed("induced_on_homology requires a closed morphism")
-    M, N = F.source, F.target
-    A1 = M.left_algebra
-    basis_M, _, reps_M = _homology_data(M)
-    basis_N, boundary_N, reps_N = _homology_data(N)
-    pos_N = {bx: i for i, bx in enumerate(basis_N)}
-
-    def f0(vec: f2.F2Vector) -> frozenset:
-        out: set = set()
-        for i in vec.support:
-            b, x = basis_M[i]
-            for b2, y in F.entry(x, ()):
-                for t in A1.product(b, b2):
-                    out ^= {pos_N[(t, y)]}
-        return frozenset(out)
-
-    # express each image in homology coordinates: solve [reps | boundary] u = w
-    h_N = len(reps_N)
-    n_N = len(basis_N)
-    entries = frozenset(
-        [(r, j) for j, rep in enumerate(reps_N) for r in rep.support]
-        + [(r, h_N + c) for r, c in boundary_N.entries])
-    system = f2.F2Matrix(n_N, h_N + n_N, entries)
-
-    out_entries = set()
-    for j, rep in enumerate(reps_M):
-        w = f0(rep)
-        sol = f2.solve(system, f2.F2Vector(w))
-        if sol is None:
-            raise AssertionError("chain-map image escaped cycles+boundaries")
-        for i in sol.support:
-            if i < h_N:
-                out_entries.add((i, j))
-    return f2.F2Matrix(h_N, len(reps_M), frozenset(out_entries))
-
+# --- naive quasi-isomorphism ---------------------------------------------
 
 def is_naive_quasi_iso(F: DAMorphism) -> bool:
-    """True iff the induced matrix on arity-zero homology is invertible.
+    """True iff the arity-zero part of F is a quasi-isomorphism.
 
-    This is a deliberately weak stand-in for quasi-isomorphism (it sees
-    only the input-free part of the structure); every report built on it
-    is labelled naive.
+    That part sends b (x) x to sum mu_2(b, b') (x) y over
+    F(x, []) = sum b' (x) y; being closed, it is a chain map, and it is a
+    quasi-isomorphism iff its mapping cone is acyclic.  This is a
+    deliberately weak stand-in for quasi-isomorphism (it sees only the
+    input-free part of the structure); every report built on it is
+    labelled naive.
     """
-    m = induced_on_homology(F)
-    return m.rows == m.cols and f2.rank(m) == m.rows
+    if not is_closed(F):
+        raise NotClosed("is_naive_quasi_iso requires a closed morphism")
+    A1 = F.source.left_algebra
+    basis_M, d_M = arity_zero_complex(F.source)
+    basis_N, d_N = arity_zero_complex(F.target)
+    n = len(basis_M)
+    pos_N = {bx: n + i for i, bx in enumerate(basis_N)}
+    f0: set = set()
+    for col, (b, x) in enumerate(basis_M):
+        for b2, y in F.entry(x, ()):
+            for t in A1.product(b, b2):
+                _toggle(f0, (pos_N[(t, y)], col))
+    size = n + len(basis_N)
+    cone = f2.F2Matrix(size, size, frozenset(
+        d_M.entries | {(r + n, c + n) for r, c in d_N.entries} | f0))
+    return f2.homology_dim(cone, cone) == 0

@@ -395,6 +395,35 @@ class TestExpressionText:
             work[layers] = calls[0]
         assert work[1200] - work[600] == 2 * (work[600] - work[300]) > 0
 
+    def test_normalizing_a_chain_multiplies_words_once(self, monkeypatch):
+        # a 2,000-part H node is rebuilt as one node: one concat per
+        # boundary word, not two per link
+        parts = ["ID(a)", "ID(b)", "ID(b')"]
+        text = parts[0]
+        for i in range(1, 2000):
+            text = f"H({text}, {parts[i % 3]})"
+        expr = parse_expression(text)
+        assert len(expr.parts) == 2000
+        calls = [0]
+        counted = clf.concat
+
+        def concat(*words):
+            calls[0] += 1
+            return counted(*words)
+
+        monkeypatch.setattr(clf, "concat", concat)
+        flat = normalize_horizontal(expr)
+        assert calls[0] <= 2
+        assert flat == expr
+        assert (flat.initial, flat.resulting) == (expr.initial,
+                                                  expr.resulting)
+        assert flat.initial.letters == (("a", False),) * 667 + (("b", False),)
+
+    def test_chain_of_none_or_one(self):
+        assert clf.chain([]) == IdentityLeaf(EMPTY_WORD)
+        leaf = IdentityLeaf(A_LET)
+        assert clf.chain([leaf]) is leaf
+
     def test_twist_nesting_limit(self):
         # T[..] letters nest MAX_TWIST_NESTING deep; one more is a parse
         # error at the first bracket past the limit

@@ -245,3 +245,25 @@ class TestDeterminism:
             assert proc.returncode == 2 and not proc.stdout
             assert "error:" in proc.stderr
         assert "unrecognized arguments: --threads 2" in proc.stderr
+
+
+def test_library_needs_no_test_only_package():
+    # numpy, hypothesis and pytest are test dependencies only: every
+    # module imports, and a homotopy search runs, with all three blocked
+    script = """
+import importlib, pkgutil, sys
+for name in ("numpy", "hypothesis", "pytest"):
+    sys.modules[name] = None
+import strandcalc
+for info in pkgutil.iter_modules(strandcalc.__path__):
+    importlib.import_module("strandcalc." + info.name)
+from strandcalc import cli
+sys.exit(cli.main(["-f", sys.argv[1], "morphism", "homotopic", "IDF",
+                   "DHID", "--cap", "2"]))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    proc = subprocess.run([sys.executable, "-c", script, TUTORIAL],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "status: pass" in proc.stdout

@@ -10,8 +10,10 @@ from strandcalc.bimodules import (check_structure, homology,
                                   named_entry, sandwiched)
 from strandcalc.circles import reverse, split_circle, torus_circle
 from strandcalc.morphisms import (HomotopyWitness, identity_morphism,
-                                  is_closed, is_homotopic, make_morphism,
-                                  morphism_differential, same_shape)
+                                  is_closed, is_homotopic,
+                                  is_naive_quasi_iso, make_morphism,
+                                  morphism_differential, same_shape,
+                                  zero_morphism)
 from strandcalc.boxes import box_bimodules
 from strandcalc.strands import (EMPTY, DGAlgebra, build_dga,
                                 enumerate_basis, multiply, verify_dga)
@@ -170,6 +172,10 @@ class TestGenus2Bimodules:
 
     def test_identity_morphism_closed(self):
         assert is_closed(identity_morphism(I2))
+
+    def test_naive_quasi_iso(self):
+        assert is_naive_quasi_iso(identity_morphism(I2))
+        assert not is_naive_quasi_iso(zero_morphism(I2, I2))
 
     def test_homology_matches_algebra(self):
         # the arity-zero complex of the identity bimodule is (A, d)
