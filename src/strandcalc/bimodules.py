@@ -77,6 +77,14 @@ class DATable:
                             for (x, seq), outs in self.table.items())
 
     @cached_property
+    def input_prefixes(self) -> dict[tuple[int, ...], bool]:
+        """Each prefix of an input sequence (the empty one too) -> whether
+        it is proper: the chains a box tensor walk may feed this table."""
+        seqs = {seq for _, seq in self.table}
+        proper = {seq[:k] for seq in seqs for k in range(len(seq))}
+        return {**dict.fromkeys(seqs, False), **dict.fromkeys(proper, True)}
+
+    @cached_property
     def entries_by_source_term(self) -> dict[tuple[int, int], tuple]:
         """(x, algebra output c) -> (seq, y) pairs with c (x) y in the
         entry at (x, seq)."""
@@ -189,18 +197,19 @@ def checked_table(A1: DGAlgebra, A2: DGAlgebra,
     """Screen a table's indices and left-idempotent compatibility; returns
     it with frozen keys and outputs and without zero entries."""
     clean: dict[Key, Span] = {}
+    n1, n2, n_x, n_y = A1.size, A2.size, len(source_gens), len(target_gens)
     for (x, seq), outs in table.items():
-        if not (0 <= x < len(source_gens)):
+        if not (0 <= x < n_x):
             raise UnknownSymbol(f"unknown source generator index {x}")
         seq = tuple(seq)
         for a in seq:
-            if not (0 <= a < A2.size):
+            if not (0 <= a < n2):
                 raise UnknownSymbol(f"unknown right-algebra index {a}")
-        outs = frozenset(tuple(o) for o in outs)
+        outs = frozenset(map(tuple, outs))
         for b, y in outs:
-            if not (0 <= b < A1.size):
+            if not (0 <= b < n1):
                 raise UnknownSymbol(f"unknown left-algebra index {b}")
-            if not (0 <= y < len(target_gens)):
+            if not (0 <= y < n_y):
                 raise UnknownSymbol(f"unknown target generator index {y}")
             if not sandwiched(A1, source_gens[x].left, b,
                               target_gens[y].left):

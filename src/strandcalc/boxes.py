@@ -12,8 +12,9 @@ are excluded.  Its structure table feeds M's outputs into N:
         at (x, (c_1..c_i)) and emit each output b (x) (x', y').
 
 The i = 0 realization contributes N's input-free entries paired with y
-unchanged.  Chains longer than N's arity bound cannot hit N's table, so
-the sum is finite and its evaluation always terminates.
+unchanged.  Each walk follows only chains that are prefixes of N's input
+sequences (any other chain and its extensions read zero), so it is finite
+and visits nothing that N's table cannot read.
 
 Morphisms tensor one side at a time: F . I consumes the whole M-chain in
 a single application of F's table, and I . G routes the inputs through
@@ -38,30 +39,30 @@ def _matched_pairs(N: TypeDABimodule,
             if N.gens[i].right == M.gens[j].left]
 
 
-def _chain_states(M: TypeDABimodule, start: int, max_chain: int):
-    """All (generator, consumed inputs, A2 chain) states reachable from
-    start by applying M's table to consecutive chunks; includes the
-    zero-application state.  No result depends on the order of states."""
-    states = [(start, (), ())]
+def _chain_states(M: TypeDABimodule, start: int, prefixes: dict,
+                  seq: tuple = (), chain: tuple = ()):
+    """The (generator, consumed inputs, A2 chain) states reached from
+    (start, seq, chain) by applying M's table to consecutive chunks, breadth
+    first, on the chains in prefixes (a fed table's input_prefixes)."""
+    states = [(start, seq, chain)] if chain in prefixes else []
     for y, seq, chain in states:
-        if len(chain) < max_chain:
+        if prefixes[chain]:
             for chunk, outs in M.entries_by_generator.get(y, ()):
                 for c, y2 in outs:
-                    states.append((y2, seq + chunk, chain + (c,)))
+                    if chain + (c,) in prefixes:
+                        states.append((y2, seq + chunk, chain + (c,)))
     return states
 
 
-def _morphism_chain_states(G: DAMorphism, start: int, max_chain: int):
+def _morphism_chain_states(G: DAMorphism, start: int, prefixes: dict):
     """Like _chain_states for I . G: M-iterates, exactly one application
-    of G : M -> M', then M'-iterates."""
-    for y1, seq1, chain1 in _chain_states(G.source, start, max_chain - 1):
-        if len(chain1) < max_chain:
+    of G : M -> M' from a proper prefix, then M'-iterates."""
+    for y1, seq1, chain1 in _chain_states(G.source, start, prefixes):
+        if prefixes[chain1]:
             for seq_g, outs_g in G.entries_by_generator.get(y1, ()):
                 for g, y2 in outs_g:
-                    mid_chain = chain1 + (g,)
-                    for y3, seq3, chain3 in _chain_states(
-                            G.target, y2, max_chain - len(mid_chain)):
-                        yield y3, seq1 + seq_g + seq3, mid_chain + chain3
+                    yield from _chain_states(G.target, y2, prefixes,
+                                             seq1 + seq_g, chain1 + (g,))
 
 
 def _box_table(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
@@ -75,10 +76,11 @@ def _box_table(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
             "right algebra of the left factor differs from the left "
             "algebra of the right factor")
     pos_t = {p: k for k, p in enumerate(_matched_pairs(N2, M2))}
+    entry = T.table.get
     table: dict[Key, set] = {}
     for key, (i, j) in enumerate(_matched_pairs(N, M)):
         for y, seq, chain in states(j):
-            for b, i2 in T.entry(i, chain):
+            for b, i2 in entry((i, chain), ()):
                 out = pos_t.get((i2, y))
                 if out is None:
                     continue  # zero over the idempotent ground ring
@@ -91,7 +93,7 @@ def _box_left(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
               M: TypeDABimodule) -> dict[Key, set]:
     """The table of T . I : (N . M) -> (N2 . M) for T from N to N2."""
     return _box_table(T, N, N2, M, M,
-                      lambda j: _chain_states(M, j, T.arity_bound))
+                      lambda j: _chain_states(M, j, T.input_prefixes))
 
 
 def box_bimodules(N: TypeDABimodule, M: TypeDABimodule) -> TypeDABimodule:
@@ -117,8 +119,8 @@ def box_morphism_left(F: DAMorphism, M: TypeDABimodule) -> DAMorphism:
 def box_morphism_right(N: TypeDABimodule, G: DAMorphism) -> DAMorphism:
     """I . G : (N . M) -> (N . M') for G : M -> M'; builds N . M once
     when M is M'."""
-    table = _box_table(N, N, N, G.source, G.target,
-                       lambda j: _morphism_chain_states(G, j, N.arity_bound))
+    table = _box_table(N, N, N, G.source, G.target, lambda j:
+                       _morphism_chain_states(G, j, N.input_prefixes))
     source = box_bimodules(N, G.source)
     target = (source if G.target is G.source
               else box_bimodules(N, G.target))

@@ -577,10 +577,11 @@ def parse_expression(text: str, line: int | None = None,
 
     One left-to-right pass keeps the open H( and V( frames on a stack, so
     nesting depth costs no recursion: a ',' stores a frame's first
-    argument and its ')' composes the two.  A leaf ends at its first ')',
-    since words bracket only with [...].  Errors carry col plus the
-    offset of the offending character; a V whose middle words differ is
-    located at its head.
+    argument and its ')' composes the two.  Values are lists of pending H
+    parts that an H splices; a V or the end makes one `chain` of each.  A
+    leaf ends at its first ')', since words bracket only with [...].  Errors
+    carry col plus the offset of the offending character; a V whose middle
+    words differ is located at its head.
     """
     frames: list[list] = []  # [head, its offset, first argument or None]
     i = 0
@@ -597,7 +598,7 @@ def parse_expression(text: str, line: int | None = None,
         close = text.find(")", i)
         if close < 0:
             raise ParseError("unbalanced parentheses", line, col + m.start(1))
-        expr = _parse_leaf(head, text[i:close], line, col + i)
+        expr = [_parse_leaf(head, text[i:close], line, col + i)]
         i = close + 1
         while True:
             m = _NEXT.match(text, i)
@@ -606,16 +607,19 @@ def parse_expression(text: str, line: int | None = None,
                 if sep:
                     raise ParseError(f"trailing input {text[at:].strip()!r}",
                                      line, col + at)
-                return expr
+                return chain(expr)
             head, start, first = frames[-1]
             if sep == "," and first is None:
                 frames[-1][2] = expr
                 break
             if sep == ")" and first is not None:
                 frames.pop()
-                join = compose_h if head == "H" else compose_v
+                if head == "H":
+                    first += expr
+                    expr = first
+                    continue
                 try:
-                    expr = join(first, expr)
+                    expr = [compose_v(chain(first), chain(expr))]
                 except BoundaryMismatch as exc:
                     raise ParseError(str(exc), line, col + start) from None
                 continue

@@ -6,7 +6,8 @@ oracle enumerates raw endpoint subsets, the product reference tries
 every pair of expansions, the structure-map oracle evaluates the
 recursion as an explicit sum over ordered splittings, and the
 structure-relation reference evaluates the relation one input sequence
-at a time.
+at a time.  The box-tensor reference shares the library's table builder
+but walks every chain up to the fed table's arity bound.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from strandcalc import f2
 from strandcalc.bimodules import compute_Dn, named_entry, sandwiched
+from strandcalc.boxes import _box_table
 from strandcalc.morphisms import DAMorphism
 from strandcalc.strands import (_concat, _regroup, expansions, source_idem,
                                 target_idem)
@@ -356,3 +358,78 @@ def random_unchained_table(rng: Random, M, N, cap: int,
         table[(x, seq)] ^= {(b, y)}
         placed += 1
     return DAMorphism(M, N, {k: frozenset(v) for k, v in table.items() if v})
+
+
+def sampled_chained_table(rng: Random, M, N, cap: int,
+                          density: int) -> DAMorphism:
+    """Like random_chained_table, drawing each coordinate by a random walk
+    (arity uniform in 0..cap) instead of from the full list, which is too
+    large at genus 2 beyond arity 1; a walk that dead-ends is dropped."""
+    A1, A2 = M.left_algebra, M.right_algebra
+    by_source: dict[int, list[int]] = {}
+    for a in range(A2.size):
+        by_source.setdefault(A2.left_idem[a], []).append(a)
+    outputs: dict = {}
+    for b in range(A1.size):
+        for y in range(N.size):
+            if N.gens[y].left == A1.right_idem[b]:
+                outputs.setdefault((A1.left_idem[b], N.gens[y].right),
+                                   []).append((b, y))
+    table: dict = {}
+    for _ in range(density):
+        x = rng.randrange(M.size)
+        seq, state = (), M.gens[x].right
+        for _ in range(rng.randrange(cap + 1)):
+            a = rng.choice(by_source[state])
+            seq, state = seq + (a,), A2.right_idem[a]
+        outs = outputs.get((M.gens[x].left, state))
+        if outs:
+            table.setdefault((x, seq), set())
+            table[(x, seq)] ^= {rng.choice(outs)}
+    return DAMorphism(M, N, {k: frozenset(v) for k, v in table.items() if v})
+
+
+# --- unpruned box-tensor walk ----------------------------------------------
+# The chain walks of boxes.py before they followed the fed table's input
+# prefixes: every chain up to the table's arity bound.  Fed through the
+# library's _box_table, they give the reference box tables.
+
+
+def unpruned_chain_states(M, start, max_chain):
+    states = [(start, (), ())]
+    for y, seq, chain in states:
+        if len(chain) < max_chain:
+            for chunk, outs in M.entries_by_generator.get(y, ()):
+                for c, y2 in outs:
+                    states.append((y2, seq + chunk, chain + (c,)))
+    return states
+
+
+def unpruned_morphism_chain_states(G, start, max_chain):
+    for y1, seq1, chain1 in unpruned_chain_states(G.source, start,
+                                                  max_chain - 1):
+        if len(chain1) < max_chain:
+            for seq_g, outs_g in G.entries_by_generator.get(y1, ()):
+                for g, y2 in outs_g:
+                    mid_chain = chain1 + (g,)
+                    for y3, seq3, chain3 in unpruned_chain_states(
+                            G.target, y2, max_chain - len(mid_chain)):
+                        yield y3, seq1 + seq_g + seq3, mid_chain + chain3
+
+
+def _nonzero(table):
+    return {k: frozenset(v) for k, v in table.items() if v}
+
+
+def unpruned_box_left(T, N, N2, M):
+    """The table of T . I : (N . M) -> (N2 . M), in insertion order."""
+    return _nonzero(_box_table(
+        T, N, N2, M, M,
+        lambda j: unpruned_chain_states(M, j, T.arity_bound)))
+
+
+def unpruned_box_right(N, G):
+    """The table of I . G : (N . M) -> (N . M'), in insertion order."""
+    return _nonzero(_box_table(
+        N, N, N, G.source, G.target,
+        lambda j: unpruned_morphism_chain_states(G, j, N.arity_bound)))

@@ -5,8 +5,9 @@ from random import Random
 import pytest
 
 from strandcalc import boxes
-from strandcalc.bimodules import (check_structure, homology,
-                                  identity_bimodule, make_bimodule)
+from strandcalc.bimodules import (TypeDABimodule, check_structure,
+                                  homology, identity_bimodule,
+                                  make_bimodule)
 from strandcalc.circles import split_circle, torus_circle
 from strandcalc.errors import MiddleAlgebraMismatch
 from strandcalc.morphisms import (DAMorphism, compose, identity_morphism,
@@ -17,7 +18,9 @@ from strandcalc.boxes import (box_bimodules, box_morphism_left,
                               box_morphism_right, box_morphisms)
 from strandcalc.strands import build_dga
 
-from helpers import random_chained_table
+from helpers import (random_chained_table, sampled_chained_table,
+                     unpruned_box_left, unpruned_box_right,
+                     unpruned_chain_states, unpruned_morphism_chain_states)
 
 A = build_dga(torus_circle(), label="A")
 I = identity_bimodule(A, label="I")
@@ -278,3 +281,88 @@ class TestPairingSanity:
         F = make_morphism(B, I, table)
         assert is_closed(F)
         assert is_naive_quasi_iso(F)
+
+
+class TestPrunedWalk:
+    """The walks follow only prefixes of the fed table's input sequences;
+    every box table equals the one fed by the unpruned walk (every chain
+    up to the arity bound), key order included."""
+
+    @staticmethod
+    def random_bimodule(rng, cap, label):
+        # I's generators with a random chained table of arity <= cap; the
+        # box never reads the structure relation
+        return TypeDABimodule(A, A, I.gens, random_chained_table(
+            rng, I, I, cap, 6).table, label=label)
+
+    @staticmethod
+    def assert_same(table, reference):
+        assert list(table.items()) == list(reference.items())
+
+    def check(self, F, G):
+        """Every box of F : N -> N2 and G : M -> M2 against the oracle."""
+        N, N2, M, M2 = F.source, F.target, G.source, G.target
+        for P, Q in ((N, M), (N2, M), (N2, M2)):
+            self.assert_same(box_bimodules(P, Q).table,
+                             unpruned_box_left(P, P, P, Q))
+        left = unpruned_box_left(F, N, N2, M)
+        right = unpruned_box_right(N2, G)
+        self.assert_same(box_morphism_left(F, M).table, left)
+        self.assert_same(box_morphism_right(N2, G).table, right)
+        NM, N2M = box_bimodules(N, M), box_bimodules(N2, M)
+        reference = compose(
+            DAMorphism(N2M, box_bimodules(N2, M2), right),
+            DAMorphism(NM, N2M, left))
+        self.assert_same(box_morphisms(F, G).table, reference.table)
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3])
+    def test_torus_morphisms_match_unpruned(self, cap):
+        rng = Random(50 + cap)
+        R, S = (self.random_bimodule(rng, cap, lab) for lab in "RS")
+        for _ in range(4):
+            for P, Q in ((I, I), (R, I), (I, S), (R, S), (S, M2)):
+                self.check(random_chained_table(rng, P, P, cap, 10),
+                           random_chained_table(rng, Q, Q, cap, 10))
+
+    def test_genus_two_arity_two_matches_unpruned(self):
+        A2 = build_dga(split_circle(2), label="A2")
+        I2 = identity_bimodule(A2, label="I2")
+        rng = Random(51)
+        F = identity_morphism(I2) + sampled_chained_table(rng, I2, I2, 2, 8)
+        G = identity_morphism(I2) + sampled_chained_table(rng, I2, I2, 1, 8)
+        assert any(len(seq) == 2 for _, seq in box_morphisms(F, G).table)
+        self.check(F, G)
+        self.check(G, F)
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3])
+    def test_states_are_the_unpruned_states_on_prefixes(self, cap):
+        # the exact visit list: the unpruned walk's states whose chain is
+        # an input prefix of T, in the same order, and nothing else
+        rng = Random(60 + cap)
+        R = self.random_bimodule(rng, cap, "R")
+        T = random_chained_table(rng, I, I, cap, 8)
+        G = random_chained_table(rng, I, R, max(cap - 1, 0), 8)
+        prefixes = T.input_prefixes
+        for M in (I, R, M2):
+            for j in range(M.size):
+                states = boxes._chain_states(M, j, prefixes)
+                assert all(chain in prefixes for _, _, chain in states)
+                kept = [s for s in unpruned_chain_states(M, j, T.arity_bound)
+                        if s[2] in prefixes]
+                assert len(states) == len(kept) and states == kept
+        for j in range(I.size):
+            states = list(boxes._morphism_chain_states(G, j, prefixes))
+            kept = [s for s in unpruned_morphism_chain_states(
+                G, j, T.arity_bound) if s[2] in prefixes]
+            assert len(states) == len(kept) and states == kept
+
+    def test_input_prefixes(self):
+        rng = Random(61)
+        T = random_chained_table(rng, I, I, 3, 8)
+        expected = {}
+        for _, seq in T.table:
+            for k in range(len(seq) + 1):
+                expected[seq[:k]] = expected.get(seq[:k], False) or \
+                    k < len(seq)
+        assert T.input_prefixes == expected
+        assert zero_morphism(I, I).input_prefixes == {}

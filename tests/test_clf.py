@@ -419,6 +419,35 @@ class TestExpressionText:
                                                   expr.resulting)
         assert flat.initial.letters == (("a", False),) * 667 + (("b", False),)
 
+    @pytest.mark.parametrize("nesting", ["left", "right"])
+    def test_parsing_a_chain_multiplies_words_once(self, monkeypatch,
+                                                   nesting):
+        # the parser collects a 2,000-part H chain and builds one node:
+        # one concat per boundary word, not two per link
+        leaves = (["ID(a)", "ID(b)", "ID(b')"] * 667)[:2000]
+        expected = clf.chain([parse_expression(t) for t in leaves])
+        if nesting == "left":
+            text = leaves[0]
+            for leaf in leaves[1:]:
+                text = f"H({text}, {leaf})"
+        else:
+            text = leaves[-1]
+            for leaf in reversed(leaves[:-1]):
+                text = f"H({leaf}, {text})"
+        calls = [0]
+        counted = clf.concat
+
+        def concat(*words):
+            calls[0] += 1
+            return counted(*words)
+
+        monkeypatch.setattr(clf, "concat", concat)
+        expr = parse_expression(text)
+        assert calls[0] <= 2
+        assert len(expr.parts) == 2000 and expr == expected
+        assert (expr.initial, expr.resulting) == (expected.initial,
+                                                  expected.resulting)
+
     def test_chain_of_none_or_one(self):
         assert clf.chain([]) == IdentityLeaf(EMPTY_WORD)
         leaf = IdentityLeaf(A_LET)

@@ -13,8 +13,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TUTORIAL = os.path.join(ROOT, "tutorial", "torus.bhf")
 
 
-def run(*args, doc=TUTORIAL):
-    env = dict(os.environ)
+def run(*args, doc=TUTORIAL, env=None):
+    env = dict(os.environ, **(env or {}))
     env["PYTHONPATH"] = os.path.join(ROOT, "src")
     proc = subprocess.run(
         [sys.executable, "-m", "strandcalc.cli", "-f", doc, *args],
@@ -232,10 +232,16 @@ class TestDeterminism:
             assert first.stdout == second.stdout
             assert first.returncode == second.returncode
 
-    def test_thread_count_invariant(self):
-        base = run("algebra", "verify", "A", "--budget", "1000")
-        again = run("algebra", "verify", "A", "--budget", "1000")
-        assert base.stdout == again.stdout
+    def test_hash_seed_invariant(self):
+        # set and dict order inside evaluation, boxing and the homotopy
+        # search must not reach the output
+        for cmd in (("clf", "evaluate", "W", "--assign", "S"),
+                    ("boxtensor", "I", "M2", "-o", "IM2"),
+                    ("morphism", "homotopic", "IDF", "DHID", "--cap", "2")):
+            base = run(*cmd, env={"PYTHONHASHSEED": "0"})
+            again = run(*cmd, env={"PYTHONHASHSEED": "12345"})
+            assert base.stdout == again.stdout and base.stdout
+            assert base.returncode == again.returncode == 0
 
     def test_threads_option_removed(self):
         # "--threads 2" before the command reads 2 as the command name
