@@ -222,14 +222,11 @@ def checked_table(A1: DGAlgebra, A2: DGAlgebra,
     return clean
 
 
-def make_bimodule(A1: DGAlgebra, A2: DGAlgebra,
-                  gens: Iterable[tuple[str, int, int]],
-                  d1: Mapping[Key, Iterable[tuple[int, int]]],
-                  label: str = "") -> TypeDABimodule:
-    """Construct a bimodule, screening indices and idempotent compatibility.
-
-    The structure relation is NOT verified here; call check_structure.
-    """
+def checked_gens(A1: DGAlgebra, A2: DGAlgebra,
+                 gens: Iterable[tuple[str, int, int]]
+                 ) -> tuple[BimodGenerator, ...]:
+    """Screen (name, left, right) generators: idempotents of A1 and A2,
+    and no name twice."""
     gen_tuple = []
     for name, left, right in gens:
         if not (0 <= left < A1.size) or not A1.is_idempotent(left):
@@ -239,10 +236,20 @@ def make_bimodule(A1: DGAlgebra, A2: DGAlgebra,
             raise UnknownSymbol(f"right idempotent of {name} is not an "
                                 f"idempotent of the right algebra")
         gen_tuple.append(BimodGenerator(name, left, right))
-    gen_tuple = tuple(gen_tuple)
-    names = [g.name for g in gen_tuple]
-    if len(set(names)) != len(names):
+    if len({g.name for g in gen_tuple}) != len(gen_tuple):
         raise UnknownSymbol("duplicate generator name")
+    return tuple(gen_tuple)
+
+
+def make_bimodule(A1: DGAlgebra, A2: DGAlgebra,
+                  gens: Iterable[tuple[str, int, int]],
+                  d1: Mapping[Key, Iterable[tuple[int, int]]],
+                  label: str = "") -> TypeDABimodule:
+    """Construct a bimodule, screening indices and idempotent compatibility.
+
+    The structure relation is NOT verified here; call check_structure.
+    """
+    gen_tuple = checked_gens(A1, A2, gens)
     table = checked_table(A1, A2, gen_tuple, gen_tuple, d1)
     return TypeDABimodule(A1, A2, gen_tuple, table, label=label)
 

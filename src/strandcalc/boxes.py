@@ -27,9 +27,9 @@ factors by object identity.
 
 from __future__ import annotations
 
-from .bimodules import DATable, Key, TypeDABimodule, make_bimodule
+from .bimodules import DATable, Key, Span, TypeDABimodule, checked_gens
 from .errors import MiddleAlgebraMismatch
-from .morphisms import DAMorphism, compose, make_morphism
+from .morphisms import DAMorphism, compose
 
 
 def _matched_pairs(N: TypeDABimodule,
@@ -67,10 +67,12 @@ def _morphism_chain_states(G: DAMorphism, start: int, prefixes: dict):
 
 def _box_table(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
                M: TypeDABimodule, M2: TypeDABimodule,
-               states) -> dict[Key, set]:
-    """The table of a map (N . M) -> (N2 . M2) that feeds the A2 chain of
-    each state into T : N -> N2 once; states(j) yields the (M2 generator,
-    consumed inputs, A2 chain) states from generator j of M."""
+               states) -> dict[Key, Span]:
+    """The frozen table of a map (N . M) -> (N2 . M2) that feeds the A2
+    chain of each state into T : N -> N2 once; states(j) yields the
+    (M2 generator, consumed inputs, A2 chain) states from generator j of
+    M.  Its outputs are legal by construction, so the box results are
+    built without re-screening them."""
     if N.right_algebra is not M.left_algebra:
         raise MiddleAlgebraMismatch(
             "right algebra of the left factor differs from the left "
@@ -86,11 +88,11 @@ def _box_table(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
                     continue  # zero over the idempotent ground ring
                 bucket = table.setdefault((key, seq), set())
                 bucket ^= {(b, out)}
-    return table
+    return {k: frozenset(v) for k, v in table.items()}
 
 
 def _box_left(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
-              M: TypeDABimodule) -> dict[Key, set]:
+              M: TypeDABimodule) -> dict[Key, Span]:
     """The table of T . I : (N . M) -> (N2 . M) for T from N to N2."""
     return _box_table(T, N, N2, M, M,
                       lambda j: _chain_states(M, j, T.input_prefixes))
@@ -98,11 +100,12 @@ def _box_left(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
 
 def box_bimodules(N: TypeDABimodule, M: TypeDABimodule) -> TypeDABimodule:
     """The box tensor product of bimodules (see module docstring)."""
-    gens = [(f"{N.gens[i].name}|{M.gens[j].name}",
-             N.gens[i].left, M.gens[j].right)
-            for i, j in _matched_pairs(N, M)]
-    return make_bimodule(N.left_algebra, M.right_algebra, gens,
-                         _box_left(N, N, N, M), label=f"{N.label}.{M.label}")
+    table = _box_left(N, N, N, M)
+    gens = checked_gens(N.left_algebra, M.right_algebra, (
+        (f"{N.gens[i].name}|{M.gens[j].name}", N.gens[i].left,
+         M.gens[j].right) for i, j in _matched_pairs(N, M)))
+    return TypeDABimodule(N.left_algebra, M.right_algebra, gens, table,
+                          label=f"{N.label}.{M.label}")
 
 
 def box_morphism_left(F: DAMorphism, M: TypeDABimodule) -> DAMorphism:
@@ -111,9 +114,8 @@ def box_morphism_left(F: DAMorphism, M: TypeDABimodule) -> DAMorphism:
     source = box_bimodules(F.source, M)
     target = (source if F.target is F.source
               else box_bimodules(F.target, M))
-    return make_morphism(source, target,
-                         _box_left(F, F.source, F.target, M),
-                         label=f"{F.label}.id" if F.label else "")
+    return DAMorphism(source, target, _box_left(F, F.source, F.target, M),
+                      label=f"{F.label}.id" if F.label else "")
 
 
 def box_morphism_right(N: TypeDABimodule, G: DAMorphism) -> DAMorphism:
@@ -124,8 +126,8 @@ def box_morphism_right(N: TypeDABimodule, G: DAMorphism) -> DAMorphism:
     source = box_bimodules(N, G.source)
     target = (source if G.target is G.source
               else box_bimodules(N, G.target))
-    return make_morphism(source, target, table,
-                         label=f"id.{G.label}" if G.label else "")
+    return DAMorphism(source, target, table,
+                      label=f"id.{G.label}" if G.label else "")
 
 
 def box_morphisms(F: DAMorphism, G: DAMorphism) -> DAMorphism:
@@ -134,5 +136,5 @@ def box_morphisms(F: DAMorphism, G: DAMorphism) -> DAMorphism:
     right = box_morphism_right(F.target, G)
     source = (right.source if F.source is F.target
               else box_bimodules(F.source, G.source))
-    return compose(right, make_morphism(source, right.source, _box_left(
+    return compose(right, DAMorphism(source, right.source, _box_left(
         F, F.source, F.target, G.source)))

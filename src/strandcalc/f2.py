@@ -1,11 +1,14 @@
 """Sparse linear algebra over the two-element field.
 
 Vectors are finite sets of basis indices and addition is symmetric
-difference; matrices are sets of (row, col) positions.  For elimination,
-rows are packed into Python integers used as bit vectors (column j sits at
-bit ``cols - j`` so that scanning leading bits visits columns left to
-right, and bit 0 stays free for an augmented column), which keeps
-Gaussian elimination on machine words without any numeric dependency.
+difference.  A matrix stores each row as the increasing tuple of its
+nonzero columns; its set of (row, col) positions is derived from those.
+Elimination packs one row at a time into a Python integer used as a bit
+vector (column j sits at bit ``cols - j`` so that scanning leading bits
+visits columns left to right, and bit 0 stays free for an augmented
+column) and reduces it against the pivots at once, so only the echelon
+rows are ever held packed; Gaussian elimination stays on machine words
+without any numeric dependency.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -35,62 +38,93 @@ class F2Vector:
         return bool(self.support)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class F2Matrix:
-    """A GF(2) matrix, stored as its set of nonzero positions."""
+    """A GF(2) matrix: row r is nonzero exactly in the columns lines[r],
+    listed in increasing order.
+
+    F2Matrix(rows, cols, entries) builds one from its set of nonzero
+    (row, col) positions, checking their bounds; from_rows(cols, lines)
+    takes the row lists as given.  `entries` is derived from the rows.
+    """
 
     rows: int
     cols: int
-    entries: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    lines: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int,
+                 entries: Iterable[tuple[int, int]] = frozenset()):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimension")
-        for r, c in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
+        lines: list[list[int]] = [[] for _ in range(rows)]
+        for r, c in entries:
+            if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry {(r, c)} out of bounds "
-                                 f"for {self.rows}x{self.cols} matrix")
+                                 f"for {rows}x{cols} matrix")
+            lines[r].append(c)
+        vars(self).update(rows=rows, cols=cols, lines=tuple(
+            tuple(sorted(set(line))) for line in lines))
+
+    @classmethod
+    def from_rows(cls, cols: int,
+                  lines: Iterable[Iterable[int]]) -> "F2Matrix":
+        """The matrix whose row r is nonzero in the columns lines[r], each
+        list distinct and increasing (not checked here: elimination
+        rejects a column outside 0..cols-1 when it packs the row)."""
+        if cols < 0:
+            raise ValueError("negative matrix dimension")
+        m, lines = cls.__new__(cls), tuple(map(tuple, lines))
+        vars(m).update(rows=len(lines), cols=cols, lines=lines)
+        return m
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "F2Matrix":
-        return cls(rows, cols, frozenset())
+        return cls(rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "F2Matrix":
-        return cls(n, n, frozenset((i, i) for i in range(n)))
+        return cls.from_rows(n, ((i,) for i in range(n)))
+
+    @property
+    def entries(self) -> frozenset[tuple[int, int]]:
+        """The set of nonzero (row, col) positions."""
+        return frozenset((r, c) for r, line in enumerate(self.lines)
+                         for c in line)
 
     def apply(self, v: F2Vector) -> F2Vector:
         """Matrix-vector product m.v; v indexes columns."""
-        rows: set[int] = set()
-        for r, c in self.entries:
-            if c in v.support:
-                rows ^= {r}
-        return F2Vector(frozenset(rows))
+        return F2Vector(frozenset(
+            r for r, line in enumerate(self.lines)
+            if len(v.support.intersection(line)) & 1))
 
     def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions disagree")
-        by_row: dict[int, set[int]] = {}
-        for r, c in other.entries:
-            by_row.setdefault(r, set()).add(c)
-        out: set[tuple[int, int]] = set()
-        for r, k in self.entries:
-            for c in by_row.get(k, ()):
-                out ^= {(r, c)}
-        return F2Matrix(self.rows, other.cols, frozenset(out))
+        out = []
+        for line in self.lines:
+            acc: set[int] = set()
+            for k in line:
+                acc.symmetric_difference_update(other.lines[k])
+            out.append(sorted(acc))
+        return F2Matrix.from_rows(other.cols, out)
 
     def __bool__(self) -> bool:
-        return bool(self.entries)
+        return any(self.lines)
 
 
 # --- elimination internals ---------------------------------------------
 
-def _row_masks(m: F2Matrix) -> list[int]:
-    masks = [0] * m.rows
+def _packed(m: F2Matrix):
+    """m's rows as bit vectors, one at a time, each checked against the
+    column count (bits 1..cols hold columns cols-1..0)."""
     w = m.cols
-    for r, c in m.entries:
-        masks[r] |= 1 << (w - c)
-    return masks
+    for line in m.lines:
+        mask = 0
+        for c in line:
+            mask |= 1 << (w - c)
+        if mask & 1 or mask >> (w + 1):
+            raise ValueError(f"a row has a column outside 0..{w - 1}")
+        yield mask
 
 
 def _insert(pivots: dict[int, int], row: int) -> int:
@@ -128,7 +162,7 @@ def _back_substitute(pivots: dict[int, int], x: int) -> int:
 
 def rank(m: F2Matrix) -> int:
     """GF(2) rank; 0 <= rank <= min(rows, cols)."""
-    return len(_eliminate(_row_masks(m)))
+    return len(_eliminate(_packed(m)))
 
 
 def kernel_basis(m: F2Matrix) -> list[F2Vector]:
@@ -141,7 +175,7 @@ def kernel_basis(m: F2Matrix) -> list[F2Vector]:
     it equals the one read off the reduced echelon form.
     """
     w = m.cols
-    pivots = _eliminate(_row_masks(m))
+    pivots = _eliminate(_packed(m))
     basis = []
     for c in range(w):
         if w - c in pivots:
@@ -165,12 +199,10 @@ def solve(m: F2Matrix, target: F2Vector) -> F2Vector | None:
         raise ValueError("target support exceeds row count")
     w = m.cols
     # the augmented bit lives at position 0, below every column bit
-    aug = _row_masks(m)
-    for r in target.support:
-        aug[r] |= 1
+    ones = target.support
     pivots: dict[int, int] = {}
-    for row in aug:
-        if _insert(pivots, row) == 1:
+    for r, row in enumerate(_packed(m)):
+        if _insert(pivots, row | (r in ones)) == 1:
             return None  # 0 = 1
     x = _back_substitute(pivots, 1)
     return F2Vector(frozenset(w - lead for lead in pivots if x >> lead & 1))

@@ -35,7 +35,7 @@ says nothing about larger homotopies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from . import f2
 from .bimodules import (DATable, Key, Span, TypeDABimodule,
@@ -260,6 +260,46 @@ def _candidate_unknowns(M: TypeDABimodule, N: TypeDABimodule,
             and right[u[2][0]] == N.gens[u[2][1]].left]
 
 
+def coordinate_system(seeds: list, candidates: Callable[[Any], Iterable],
+                      image: Callable[[Any], Iterable]
+                      ) -> tuple[f2.F2Matrix, list]:
+    """The linear system of the components that meet the seed equations:
+    from the seeds, every candidate unknown of a new equation (a superset
+    of the unknowns whose image contains it) is an unknown, and every
+    equation in a new unknown's image is a new equation.  Equations are
+    numbered as first met, the seeds (rows 0..) first; each image is kept
+    as its row numbers, and the equation-to-row map is dropped once every
+    row is numbered.  Returns the matrix and its columns, the unknowns in
+    sorted order.
+    """
+    row = {e: i for i, e in enumerate(seeds)}
+    images: dict[Any, list[int] | None] = {}
+    frontier = seeds
+    while frontier:
+        new_unknowns = []
+        for e in frontier:
+            for u in candidates(e):
+                if u not in images:
+                    images[u] = None
+                    new_unknowns.append(u)
+        frontier = []
+        for u in new_unknowns:
+            rows = images[u] = []
+            for e in image(u):
+                r = row.get(e)
+                if r is None:
+                    r = row[e] = len(row)
+                    frontier.append(e)
+                rows.append(r)
+    lines: list[list[int]] = [[] for _ in range(len(row))]
+    del row
+    unknowns = sorted(images)
+    for col, u in enumerate(unknowns):
+        for r in images.pop(u):
+            lines[r].append(col)
+    return f2.F2Matrix.from_rows(len(unknowns), lines), unknowns
+
+
 def is_homotopic(F: DAMorphism, G: DAMorphism,
                  cap: int) -> HomotopyWitness | NotWithinCap:
     """Search for H with dH = F + G over all tables of arity <= cap.
@@ -267,9 +307,12 @@ def is_homotopic(F: DAMorphism, G: DAMorphism,
     Preconditions: same source and target shapes, F and G closed.  On
     success the witness has been re-verified bit-exactly at all arities;
     NotWithinCap means no witness of arity <= cap exists and is not a
-    proof of non-homotopy.  The witness is the unique solution that is
-    zero on every non-pivot unknown, with the unknowns in sorted
-    coordinate order; it does not depend on the order of the equations.
+    proof of non-homotopy.  The system is coordinate_system's closure
+    from the coordinates of F + G, with _candidate_unknowns and
+    _coord_image as its incidences, handed to f2.solve as row lists.  The
+    witness is the unique solution that is zero on every non-pivot
+    unknown, with the unknowns in sorted coordinate order; it does not
+    depend on the order of the equations.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -284,32 +327,11 @@ def is_homotopic(F: DAMorphism, G: DAMorphism,
     if not rhs:
         return HomotopyWitness(zero_morphism(M, N), cap)
 
-    # equations are numbered as first met, the seeds (rows 0..) first
     seeds = [(x, seq, out) for (x, seq), outs in rhs.items()
              for out in outs]
-    row = {e: i for i, e in enumerate(seeds)}
-    unknowns: dict[Coord, set | None] = {}
-    frontier_eq = seeds
-    while frontier_eq:
-        new_unknowns = []
-        for e in frontier_eq:
-            for u in _candidate_unknowns(M, N, e, cap):
-                if u not in unknowns:
-                    unknowns[u] = None
-                    new_unknowns.append(u)
-        frontier_eq = []
-        for u in new_unknowns:
-            x, seq, (b, y) = u
-            image = unknowns[u] = _coord_image(M, N, x, seq, b, y)
-            for e in image:
-                if e not in row:
-                    row[e] = len(row)
-                    frontier_eq.append(e)
-
-    un_list = sorted(unknowns)
-    matrix = f2.F2Matrix(len(row), len(un_list), frozenset(
-        (row[e], col) for col, u in enumerate(un_list)
-        for e in unknowns.pop(u)))
+    matrix, un_list = coordinate_system(
+        seeds, lambda e: _candidate_unknowns(M, N, e, cap),
+        lambda u: _coord_image(M, N, u[0], u[1], *u[2]))
     solution = f2.solve(matrix, f2.F2Vector(frozenset(range(len(seeds)))))
     if solution is None:
         return NotWithinCap(cap)

@@ -100,6 +100,20 @@ def random_complex(rng: Random, n: int):
     return d_in, d_out
 
 
+def spy_solve(monkeypatch) -> list[tuple[int, int, int]]:
+    """Record (rows, columns, nonzeros) of every system f2.solve is given
+    from now on; the calls still solve."""
+    sizes = []
+    solve = f2.solve
+
+    def spy(m, target):
+        sizes.append((m.rows, m.cols, len(m.entries)))
+        return solve(m, target)
+
+    monkeypatch.setattr(f2, "solve", spy)
+    return sizes
+
+
 # --- reduced-echelon reference for f2.solve and f2.kernel_basis ----------
 # Bit-vector Gauss-Jordan elimination: forward elimination, then every
 # pivot column cleared from every other row.  Free variables are zero, so

@@ -6,10 +6,10 @@ import pytest
 
 from strandcalc import boxes
 from strandcalc.bimodules import (TypeDABimodule, check_structure,
-                                  homology, identity_bimodule,
-                                  make_bimodule)
+                                  checked_table, homology,
+                                  identity_bimodule, make_bimodule)
 from strandcalc.circles import split_circle, torus_circle
-from strandcalc.errors import MiddleAlgebraMismatch
+from strandcalc.errors import MiddleAlgebraMismatch, UnknownSymbol
 from strandcalc.morphisms import (DAMorphism, compose, identity_morphism,
                                   is_closed, is_homotopic,
                                   morphism_differential, same_shape,
@@ -84,6 +84,13 @@ class TestBoxBimodules:
         J = identity_bimodule(B)
         with pytest.raises(MiddleAlgebraMismatch):
             box_bimodules(I, J)
+
+    def test_colliding_generator_names_rejected(self):
+        # "a|b" . "c" and "a" . "b|c" would both be named "a|b|c"
+        N = make_bimodule(A, A, [("a|b", I0, I0), ("a", I0, I0)], {})
+        M = make_bimodule(A, A, [("c", I0, I0), ("b|c", I0, I0)], {})
+        with pytest.raises(UnknownSymbol):
+            box_bimodules(N, M)
 
 
 class TestBoxMorphismLeft:
@@ -296,24 +303,33 @@ class TestPrunedWalk:
             rng, I, I, cap, 6).table, label=label)
 
     @staticmethod
-    def assert_same(table, reference):
-        assert list(table.items()) == list(reference.items())
+    def assert_same(box, reference):
+        """Equal to the oracle's table, key order included; and, though
+        built without make_bimodule's or make_morphism's screen, a table
+        that the screen returns unchanged, frozen values included."""
+        assert list(box.table.items()) == list(reference.items())
+        source, target = ((box, box) if isinstance(box, TypeDABimodule)
+                          else (box.source, box.target))
+        clean = checked_table(source.left_algebra, source.right_algebra,
+                              source.gens, target.gens, box.table)
+        assert list(clean.items()) == list(box.table.items())
+        assert all(type(v) is frozenset for v in box.table.values())
 
     def check(self, F, G):
         """Every box of F : N -> N2 and G : M -> M2 against the oracle."""
         N, N2, M, M2 = F.source, F.target, G.source, G.target
         for P, Q in ((N, M), (N2, M), (N2, M2)):
-            self.assert_same(box_bimodules(P, Q).table,
+            self.assert_same(box_bimodules(P, Q),
                              unpruned_box_left(P, P, P, Q))
         left = unpruned_box_left(F, N, N2, M)
         right = unpruned_box_right(N2, G)
-        self.assert_same(box_morphism_left(F, M).table, left)
-        self.assert_same(box_morphism_right(N2, G).table, right)
+        self.assert_same(box_morphism_left(F, M), left)
+        self.assert_same(box_morphism_right(N2, G), right)
         NM, N2M = box_bimodules(N, M), box_bimodules(N2, M)
         reference = compose(
             DAMorphism(N2M, box_bimodules(N2, M2), right),
             DAMorphism(NM, N2M, left))
-        self.assert_same(box_morphisms(F, G).table, reference.table)
+        self.assert_same(box_morphisms(F, G), reference.table)
 
     @pytest.mark.parametrize("cap", [0, 1, 2, 3])
     def test_torus_morphisms_match_unpruned(self, cap):

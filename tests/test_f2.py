@@ -22,6 +22,31 @@ def vec(*indices):
     return f2.F2Vector(frozenset(indices))
 
 
+KINDS = ["entries", "rows"]
+
+
+def built(kind, m, b=None):
+    """m itself, or its twin built by from_rows from row lists read off
+    m.entries, after checking that the two agree on every query."""
+    if kind == "entries":
+        return m
+    lines = [[] for _ in range(m.rows)]
+    for r, c in sorted(m.entries):
+        lines[r].append(c)
+    twin = f2.F2Matrix.from_rows(m.cols, lines)
+    assert twin == m and hash(twin) == hash(m)
+    assert (twin.rows, twin.cols, twin.entries) == (m.rows, m.cols, m.entries)
+    assert f2.rank(twin) == f2.rank(m)
+    assert f2.kernel_basis(twin) == f2.kernel_basis(m)
+    # the homology of 0 -> m's columns -> m's rows -> 0 at both ends
+    into, out_of = f2.F2Matrix.zero(m.cols, 0), f2.F2Matrix.zero(0, m.rows)
+    assert f2.homology_dim(into, twin) == f2.homology_dim(into, m)
+    assert f2.homology_dim(twin, out_of) == f2.homology_dim(m, out_of)
+    if b is not None:
+        assert f2.solve(twin, b) == f2.solve(m, b)
+    return twin
+
+
 class TestRank:
     def test_identity(self):
         assert f2.rank(f2.F2Matrix.identity(2)) == 2
@@ -75,6 +100,28 @@ class TestSolve:
     def test_inconsistent(self):
         assert f2.solve(f2.F2Matrix.zero(2, 2), vec(0)) is None
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("rows, target", [
+        # 0 = 1 in the first row
+        ([[], [0, 1], [1]], vec(0)),
+        # x0 + x1 = 0 and x1 = 0, then x0 = 1: 0 = 1 only in the last row
+        ([[0, 1], [1], [0]], vec(2)),
+    ], ids=["first", "last"])
+    def test_inconsistent_row_anywhere(self, kind, rows, target):
+        m = built(kind, mat(len(rows), 2, [(r, c) for r, line in
+                                           enumerate(rows) for c in line]),
+                  target)
+        assert f2.solve(m, target) is None
+        assert ref_solve(m, target) is None
+
+    @pytest.mark.parametrize("line", [(2,), (-1,), (0, 5)])
+    def test_row_lists_out_of_bounds_rejected(self, line):
+        # from_rows takes its rows as given; elimination checks them
+        m = f2.F2Matrix.from_rows(2, [(0,), line])
+        for run in (f2.rank, f2.kernel_basis, lambda m: f2.solve(m, vec())):
+            with pytest.raises(ValueError):
+                run(m)
+
     def test_underdetermined(self):
         # x0 + x1 = 1: any valid solution accepted, then checked exactly
         m = mat(1, 2, [(0, 0), (0, 1)])
@@ -82,13 +129,15 @@ class TestSolve:
         assert x is not None
         assert m.apply(x) == vec(0)
 
-    def test_against_oracle(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_against_oracle(self, kind):
         rng = Random(4)
         for _ in range(50):
             rows, cols = rng.randrange(1, 10), rng.randrange(1, 10)
             m = random_matrix(rng, rows, cols)
             b = f2.F2Vector(frozenset(
                 r for r in range(rows) if rng.random() < 0.5))
+            m = built(kind, m, b)
             x = f2.solve(m, b)
             bd = np.zeros(rows, dtype=np.uint8)
             for r in b.support:
@@ -102,7 +151,8 @@ class TestReferenceIdentity:
     """solve and kernel_basis return exactly the reduced echelon form's
     vectors, not merely some solution: witnesses depend on it."""
 
-    def test_matches_reduced_echelon(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_reduced_echelon(self, kind):
         rng = Random(6)
         seen = {"no rows": 0, "no cols": 0, "inconsistent": 0,
                 "rank-deficient": 0, "wide": 0}
@@ -117,6 +167,7 @@ class TestReferenceIdentity:
             else:
                 b = f2.F2Vector(frozenset(
                     r for r in range(rows) if rng.random() < 0.5))
+            m = built(kind, m, b)
             x, expect = f2.solve(m, b), ref_solve(m, b)
             if expect is None:
                 assert x is None
@@ -132,7 +183,8 @@ class TestReferenceIdentity:
             seen["wide"] += cols > 64
         assert min(seen.values()) >= 20, seen
 
-    def test_row_order_and_repeats_do_not_matter(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_row_order_and_repeats_do_not_matter(self, kind):
         # the homotopy search numbers its equations as it meets them, so
         # its witness relies on solve ignoring row order and repeated rows
         rng = Random(8)
@@ -147,6 +199,7 @@ class TestReferenceIdentity:
             else:
                 b = f2.F2Vector(frozenset(
                     r for r in range(rows) if rng.random() < 0.5))
+            m = built(kind, m, b)
             expect = f2.solve(m, b)
             assert expect == ref_solve(m, b)
             seen["inconsistent" if expect is None else "consistent"] += 1
@@ -154,9 +207,9 @@ class TestReferenceIdentity:
                 order = list(range(rows)) + [rng.randrange(rows)
                                              for _ in range(repeats)]
                 rng.shuffle(order)
-                moved = mat(len(order), cols,
-                            [(i, c) for i, r in enumerate(order)
-                             for r2, c in m.entries if r2 == r])
+                moved = built(kind, mat(len(order), cols,
+                                        [(i, c) for i, r in enumerate(order)
+                                         for r2, c in m.entries if r2 == r]))
                 target = f2.F2Vector(frozenset(
                     i for i, r in enumerate(order) if r in b.support))
                 assert f2.solve(moved, target) == expect

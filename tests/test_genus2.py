@@ -18,7 +18,7 @@ from strandcalc.boxes import box_bimodules
 from strandcalc.strands import (EMPTY, DGAlgebra, build_dga,
                                 enumerate_basis, multiply, verify_dga)
 
-from helpers import (input_positions, random_chained_table,
+from helpers import (input_positions, random_chained_table, spy_solve,
                      reference_defect, reference_structure, ref_multiply)
 
 A2 = build_dga(split_circle(2), label="A2")
@@ -224,3 +224,18 @@ class TestGenus2Homotopy:
                          for (x, seq), outs in result.h.table.items())
         assert hashlib.sha256(repr(listing).encode()).hexdigest() == \
             "f70851de526d5635ecf5176e8d3688179da0750dd309e72f7e22a0462076e6c7"
+
+    def test_system_handed_to_solve(self, monkeypatch):
+        # the largest search of the g2-homotopy benchmark: the closure must
+        # hand f2 the same system however it is assembled and packed
+        sizes = spy_solve(monkeypatch)
+        ID = identity_morphism(I2)
+        x = I2.gen_index("h(1 3)h(2 4)h(6 8)")
+        H = make_morphism(I2, I2, {
+            (x, ()): [(A2.index("r[1-2]r[2-3]h(6 8)"), x)]})
+        G = ID + morphism_differential(H)
+        result = is_homotopic(ID, G, 2)
+        assert sizes == [(10328, 2675, 27840)]
+        assert isinstance(result, HomotopyWitness)
+        assert morphism_differential(result.h).table == (ID + G).table
+        assert result.h.table == H.table

@@ -1,5 +1,6 @@
 """The morphism complex: differential, closedness, composition, homotopy."""
 
+import os
 from functools import lru_cache
 from random import Random
 
@@ -8,6 +9,7 @@ import pytest
 from strandcalc import f2, morphisms
 from strandcalc.bimodules import identity_bimodule, make_bimodule
 from strandcalc.circles import torus_circle
+from strandcalc.document import parse_document
 from strandcalc.errors import BimoduleMismatch, IdempotentMismatch, NotClosed
 from strandcalc.morphisms import (DAMorphism, _candidate_unknowns, compose,
                                   identity_morphism, is_closed,
@@ -17,7 +19,10 @@ from strandcalc.morphisms import (DAMorphism, _candidate_unknowns, compose,
 from strandcalc.strands import build_dga
 
 from helpers import (chained_coords, random_chained_table,
-                     random_unchained_table, ref_solve)
+                     random_unchained_table, ref_solve, spy_solve)
+
+TUTORIAL = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tutorial", "torus.bhf")
 
 A = build_dga(torus_circle(), label="A")
 I = identity_bimodule(A, label="I")
@@ -156,6 +161,17 @@ class TestIsHomotopic:
             assert result
             assert morphism_differential(result.h).table == \
                 morphism_differential(H).table
+
+    def test_tutorial_system_handed_to_solve(self, monkeypatch):
+        # IDF against DHID in the tutorial document at cap 2: one 1 x 1
+        # system with its one nonzero, and a one-entry witness
+        doc = parse_document(open(TUTORIAL).read())
+        F, G = doc.get("IDF", "morphism"), doc.get("DHID", "morphism")
+        sizes = spy_solve(monkeypatch)
+        result = is_homotopic(F, G, 2)
+        assert sizes == [(1, 1, 1)]
+        assert morphism_differential(result.h).table == (F + G).table
+        assert len(result.h.table) == 1
 
     def test_identity_not_null_homotopic(self):
         # the arity-zero homology is 10-dimensional, so the identity is
