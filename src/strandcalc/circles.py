@@ -95,12 +95,14 @@ def surgery_component_count(genus: int,
 
 @dataclass(frozen=True)
 class PMCReport:
-    """Outcome of validating a matching; valid follows the surgery count."""
+    """Outcome of validating a matching; valid follows the surgery count.
+    The matching is stored canonically, as PointedMatchedCircle stores it."""
 
     genus: int
     surgery_components: int
     adjacent_pair_free: bool
     warnings: tuple[str, ...]
+    matching: tuple[tuple[int, int], ...]
 
     @property
     def valid(self) -> bool:
@@ -118,7 +120,8 @@ def validation_report(genus: int, matching) -> PMCReport:
         warnings.append(
             "no pair is adjacent but surgery yields "
             f"{components} circles; surgery criterion is authoritative")
-    return PMCReport(genus, components, adjacent_free, tuple(warnings))
+    return PMCReport(genus, components, adjacent_free, tuple(warnings),
+                     pairs)
 
 
 def make_pmc(genus: int, matching) -> PointedMatchedCircle:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import chain as _chained
 
 from .bimodules import TypeDABimodule, identity_bimodule
 from .boxes import box_bimodules, box_morphisms
@@ -49,12 +50,13 @@ from .morphisms import DAMorphism, compose, identity_morphism, same_shape
 # --- words ----------------------------------------------------------------
 
 def _reduce_letters(letters) -> tuple:
+    """Cancel adjacent inverse pairs, keeping the other letter tuples."""
     stack: list = []
-    for sym, inv in letters:
-        if stack and stack[-1] == (sym, not inv):
+    for lt in letters:
+        if stack and stack[-1] == (lt[0], not lt[1]):
             stack.pop()
         else:
-            stack.append((sym, inv))
+            stack.append(lt)
     return tuple(stack)
 
 
@@ -96,18 +98,8 @@ class Twist:
 
 
 def concat(*words: Word) -> Word:
-    """The reduced product.  The factors are reduced, so letters cancel
-    only across each junction and the result needs no second pass."""
-    out: list = []
-    for w in words:
-        k, n = 0, min(len(out), len(w.letters))
-        while k < n and out[-1 - k] == (w.letters[k][0], not w.letters[k][1]):
-            k += 1
-        del out[len(out) - k:]
-        out += w.letters[k:]
-    word = object.__new__(Word)
-    object.__setattr__(word, "letters", tuple(out))
-    return word
+    """The reduced product."""
+    return Word(tuple(_chained.from_iterable(w.letters for w in words)))
 
 
 def inverse(w: Word) -> Word:
@@ -158,72 +150,133 @@ def word_str(w: Word) -> str:
     return "".join(parts)
 
 
-# --- word and label parsing ------------------------------------------------
+# --- text cursor, word and label parsing -------------------------------------
+
+class _Cursor:
+    """A read position in one line of text.  Errors carry the line and
+    the column of the offending character (`base` is the text's column);
+    every read skips spaces and tabs first."""
+
+    def __init__(self, text: str, line: int | None, col: int = 0):
+        self.text = text
+        self.line = line
+        self.base = col
+        self.pos = 0
+
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """A ParseError at offset `at` of the text, by default here."""
+        return ParseError(message, self.line,
+                          self.base + (self.pos if at is None else at))
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+
+    def done(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def end(self, what: str) -> None:
+        if not self.done():
+            raise self.error(f"trailing input after {what}")
+
+    def literal(self, token: str) -> None:
+        if not self.try_literal(token):
+            raise self.error(f"expected {token!r}")
+
+    def try_literal(self, token: str) -> bool:
+        self.skip_ws()
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
+            return True
+        return False
+
+    def regex(self, pattern: re.Pattern, what: str) -> re.Match:
+        self.skip_ws()
+        m = pattern.match(self.text, self.pos)
+        if m is None:
+            raise self.error(f"expected {what}")
+        self.pos = m.end()
+        return m
+
+    def word(self) -> str:
+        """The next whitespace-delimited token."""
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and not self.text[self.pos].isspace():
+            self.pos += 1
+        if self.pos == start:
+            raise self.error("expected a token")
+        return self.text[start:self.pos]
+
+
+_SYMBOL = re.compile(r"\w+")
+MAX_TWIST_NESTING = 64  # word equality and hashing recurse per level
+
+
+def _word(cur: _Cursor, depth: int = 0) -> Word:
+    """Read letters up to the first character that cannot continue a
+    word; `depth` counts the twist brackets already open."""
+    cur.skip_ws()
+    text, letters = cur.text, []
+    while cur.pos < len(text):
+        start, ch = cur.pos, text[cur.pos]
+        if text.startswith("T[", start):
+            if depth == MAX_TWIST_NESTING:
+                raise cur.error("twist letters nested deeper than "
+                                f"{MAX_TWIST_NESTING}", start + 1)
+            cur.pos += 2
+            try:
+                sym: object = Twist(_label(cur, depth + 1))
+                cur.literal("]")
+            except ParseError:
+                if cur.pos < len(text):
+                    raise
+                raise cur.error("unterminated twist letter", start) from None
+        elif ch == "e":
+            cur.pos += 1
+            continue
+        elif ch.isalnum() or ch == "_":
+            sym = ch
+            cur.pos += 1
+        else:
+            break
+        inv = text.startswith("'", cur.pos)
+        cur.pos += inv
+        letters.append((sym, inv))
+    return Word(tuple(letters))
+
+
+def _label(cur: _Cursor, depth: int = 0) -> CycleLabel:
+    """Read `word@symbol`; a missing @ is located at the label's start."""
+    cur.skip_ws()
+    start = cur.pos
+    prefix = _word(cur, depth)
+    if not cur.try_literal("@"):
+        raise cur.error(f"cycle label {cur.text[start:cur.pos]!r} lacks '@'",
+                        start)
+    return CycleLabel(prefix, cur.regex(_SYMBOL, "a cycle base symbol")[0])
+
 
 def parse_word(text: str, line: int | None = None, col: int = 0) -> Word:
     """Parse juxtaposed letters with ' for inverses; `e` is the identity.
 
     Twist letters parse back from their printed form T[word@symbol].
     """
-    text = text.strip()
-    if text == "e" or text == "":
-        return EMPTY_WORD
-    letters = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "e":
-            i += 1
-            continue
-        if ch == "T" and i + 1 < len(text) and text[i + 1] == "[":
-            j = i + 2
-            depth = 1
-            while j < len(text) and depth:
-                if text[j] == "[":
-                    depth += 1
-                    if depth > MAX_TWIST_NESTING:
-                        raise ParseError("twist letters nested deeper than "
-                                         f"{MAX_TWIST_NESTING}", line, col + j)
-                elif text[j] == "]":
-                    depth -= 1
-                j += 1
-            if depth:
-                raise ParseError("unterminated twist letter", line, col + i)
-            label = parse_cycle_label(text[i + 2:j - 1], line, col + i + 2)
-            sym: object = Twist(label)
-            i = j
-        elif ch.isalnum() or ch == "_":
-            sym = ch
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r} in word",
-                             line, col + i)
-        inv = False
-        if i < len(text) and text[i] == "'":
-            inv = True
-            i += 1
-        letters.append((sym, inv))
-    return Word(tuple(letters))
+    cur = _Cursor(text, line, col)
+    w = _word(cur)
+    if not cur.done():
+        raise cur.error(f"unexpected character {text[cur.pos]!r} in word")
+    return w
 
 
 def parse_cycle_label(text: str, line: int | None = None,
                       col: int = 0) -> CycleLabel:
-    """Parse `word@symbol` (the @ is sought outside twist brackets)."""
-    depth = 0
-    split = -1
-    for i, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "@" and depth == 0:
-            split = i
-    if split < 0:
-        raise ParseError(f"cycle label {text!r} lacks '@'", line, col)
-    base = text[split + 1:].strip()
-    if not base or not all(c.isalnum() or c == "_" for c in base):
-        raise ParseError(f"bad cycle base symbol {base!r}", line, col + split)
-    return CycleLabel(parse_word(text[:split], line, col), base)
+    """Parse `word@symbol`."""
+    cur = _Cursor(text, line, col)
+    label = _label(cur)
+    cur.end("cycle label")
+    return label
 
 
 # --- abstract CLFs and expression trees -------------------------------------
@@ -275,10 +328,10 @@ class CritLeaf(CLFExpression):
 @dataclass(frozen=True, eq=False, repr=False)
 class _Composition(CLFExpression):
     """Two or more parts and the boundary words of the whole, which
-    compose_h and compose_v set (every leaf has .initial and .resulting
-    too).  Equality and hashing compare the flat preorder of node kinds,
-    part counts and leaves, built without recursion, so trees of any
-    depth compare exactly."""
+    _node sets (every leaf has .initial and .resulting too).  Equality
+    and hashing compare the flat preorder of node kinds, part counts and
+    leaves, built without recursion, so trees of any depth compare
+    exactly."""
 
     parts: tuple
     initial: Word
@@ -342,31 +395,45 @@ def resulting_word(expr: CLFExpression) -> Word:
     return expr.resulting
 
 
-def chain(parts: list[CLFExpression]) -> CLFExpression:
-    """One horizontal node over the parts, H parts flattened in; the
-    words multiply.  No part gives ID(e) and one part gives itself."""
-    if len(parts) < 2:
-        return parts[0] if parts else IdentityLeaf(EMPTY_WORD)
+def _junction(below: CLFExpression, above: CLFExpression) -> None:
+    if not words_equal(below.resulting, above.initial):
+        raise BoundaryMismatch(
+            f"resulting word {word_str(below.resulting)} does not match "
+            f"initial word {word_str(above.initial)}")
+
+
+def _node(kind: type, parts: list) -> CLFExpression:
+    """One node of the kind over the parts, with parts of the same kind
+    spliced in; one part gives itself.  An H node multiplies the parts'
+    words; a V node checks each junction's middle words."""
+    if len(parts) == 1:
+        return parts[0]
     flat: list = []
     for e in parts:
-        flat += _parts(e, HComp)
-    return HComp(tuple(flat), concat(*(e.initial for e in parts)),
+        flat += _parts(e, kind)
+    if kind is HComp:
+        words = (concat(*(e.initial for e in parts)),
                  concat(*(e.resulting for e in parts)))
+    else:
+        for below, above in zip(parts, parts[1:]):
+            _junction(below, above)
+        words = parts[0].initial, parts[-1].resulting
+    return kind(tuple(flat), *words)
+
+
+def chain(parts: list[CLFExpression]) -> CLFExpression:
+    """One horizontal node over the parts; no part gives ID(e)."""
+    return _node(HComp, parts) if parts else IdentityLeaf(EMPTY_WORD)
 
 
 def compose_h(e1: CLFExpression, e2: CLFExpression) -> HComp:
     """Horizontal composition; the words multiply."""
-    return chain([e1, e2])
+    return _node(HComp, [e1, e2])
 
 
 def compose_v(bottom: CLFExpression, top: CLFExpression) -> VComp:
     """Vertical composition; the middle words must agree when reduced."""
-    if not words_equal(bottom.resulting, top.initial):
-        raise BoundaryMismatch(
-            f"resulting word {word_str(bottom.resulting)} does not match "
-            f"initial word {word_str(top.initial)}")
-    return VComp(_parts(bottom, VComp) + _parts(top, VComp),
-                 bottom.initial, top.resulting)
+    return _node(VComp, [bottom, top])
 
 
 def same_boundaries(e1: CLFExpression, e2: CLFExpression) -> bool:
@@ -566,9 +633,7 @@ def expression_str(expr: CLFExpression) -> str:
                           + "".join(f", {t})" for t in texts[1:])))
 
 
-_OPEN = re.compile(r"\s*(ID|CRIT|H|V)\(")
-_NEXT = re.compile(r"\s*(.?)")
-MAX_TWIST_NESTING = 64  # word equality and hashing recurse per level
+_HEAD = re.compile(r"(ID|CRIT|H|V)\(")
 
 
 def parse_expression(text: str, line: int | None = None,
@@ -577,79 +642,67 @@ def parse_expression(text: str, line: int | None = None,
 
     One left-to-right pass keeps the open H( and V( frames on a stack, so
     nesting depth costs no recursion: a ',' stores a frame's first
-    argument and its ')' composes the two.  Values are lists of pending H
-    parts that an H splices; a V or the end makes one `chain` of each.  A
-    leaf ends at its first ')', since words bracket only with [...].  Errors
-    carry col plus the offset of the offending character; a V whose middle
-    words differ is located at its head.
+    argument and its ')' joins the two.  A value is a kind and its
+    pending parts (a leaf has no kind); a frame splices in the parts of
+    its own kind and builds any other value into one node, so a chain of
+    one kind is built once.  Errors carry col plus the offset of the
+    offending character; a V whose middle words differ is located at its
+    head, since each junction is checked when its V closes.
     """
-    frames: list[list] = []  # [head, its offset, first argument or None]
-    i = 0
+    cur = _Cursor(text, line, col)
+    frames: list[list] = []  # [kind, head offset, first argument or None]
     while True:
-        m = _OPEN.match(text, i)
-        if m is None:
-            i = _NEXT.match(text, i).start(1)
-            raise ParseError(f"expected ID/CRIT/H/V at {text[i:i + 20]!r}",
-                             line, col + i)
-        head, i = m.group(1), m.end()
+        cur.skip_ws()
+        start = cur.pos
+        head = cur.regex(_HEAD, "ID/CRIT/H/V")[1]
         if head in ("H", "V"):
-            frames.append([head, m.start(1), None])
+            frames.append([HComp if head == "H" else VComp, start, None])
             continue
-        close = text.find(")", i)
-        if close < 0:
-            raise ParseError("unbalanced parentheses", line, col + m.start(1))
-        expr = [_parse_leaf(head, text[i:close], line, col + i)]
-        i = close + 1
-        while True:
-            m = _NEXT.match(text, i)
-            sep, at, i = m.group(1), m.start(1), m.end()
-            if not frames:
-                if sep:
-                    raise ParseError(f"trailing input {text[at:].strip()!r}",
-                                     line, col + at)
-                return chain(expr)
-            head, start, first = frames[-1]
-            if sep == "," and first is None:
-                frames[-1][2] = expr
-                break
-            if sep == ")" and first is not None:
-                frames.pop()
-                if head == "H":
-                    first += expr
-                    expr = first
-                    continue
-                try:
-                    expr = [compose_v(chain(first), chain(expr))]
-                except BoundaryMismatch as exc:
-                    raise ParseError(str(exc), line, col + start) from None
-                continue
-            raise ParseError(f"{head} takes two arguments" if sep
-                             else "unbalanced parentheses", line, col + at)
-
-
-def _indent(text: str) -> int:
-    return len(text) - len(text.lstrip())
-
-
-def _parse_leaf(head: str, body: str, line, col) -> CLFExpression:
-    if head == "ID":
-        return IdentityLeaf(parse_word(body, line, col + _indent(body)))
-    fields = {"fl": EMPTY_WORD, "fr": EMPTY_WORD}
-    cycle = None
-    for part in body.split(","):
-        key, eq, value = part.partition("=")
-        at = col + _indent(key)
-        if not eq:
-            raise ParseError(f"bad CRIT field {part!r}", line, at)
-        vcol = col + len(key) + 1 + _indent(value)
-        key = key.strip()
-        if key in ("fl", "fr"):
-            fields[key] = parse_word(value, line, vcol)
-        elif key == "vc":
-            cycle = parse_cycle_label(value.strip(), line, vcol)
+        if head == "ID":
+            leaf: CLFExpression = IdentityLeaf(_word(cur))
+            cur.literal(")")
         else:
-            raise ParseError(f"unknown CRIT field {key!r}", line, at)
-        col += len(part) + 1
-    if cycle is None:
-        raise ParseError("CRIT needs vc=word@symbol", line, col - 1)
-    return CritLeaf(AbstractCLF(fields["fl"], fields["fr"], cycle))
+            leaf = _crit(cur)
+        value = (None, [leaf])
+        while frames:
+            kind, at, first = frames[-1]
+            if first is None and cur.try_literal(","):
+                frames[-1][2] = value
+                break
+            if first is None or not cur.try_literal(")"):
+                raise cur.error("unbalanced parentheses" if cur.done()
+                                else f"{text[at]} takes two arguments")
+            frames.pop()
+            parts, top = _pending(first, kind), _pending(value, kind)
+            if kind is VComp:
+                try:
+                    _junction(parts[-1], top[0])
+                except BoundaryMismatch as exc:
+                    raise cur.error(str(exc), at) from None
+            parts += top
+            value = (kind, parts)
+        else:
+            cur.end("expression")
+            return _node(*value)
+
+
+def _pending(value: tuple, kind: type) -> list:
+    """A value's parts as parts of a node of the kind."""
+    return value[1] if value[0] is kind else [_node(*value)]
+
+
+def _crit(cur: _Cursor) -> CritLeaf:
+    """The `key = value` fields of a CRIT leaf, up to its ')'."""
+    fields: dict = {"fl": EMPTY_WORD, "fr": EMPTY_WORD, "vc": None}
+    while True:
+        key = cur.regex(_SYMBOL, "a CRIT field")
+        if key[0] not in fields:
+            raise cur.error(f"unknown CRIT field {key[0]!r}", key.start())
+        cur.literal("=")
+        fields[key[0]] = (_label if key[0] == "vc" else _word)(cur)
+        if not cur.try_literal(","):
+            break
+    cur.literal(")")
+    if fields["vc"] is None:
+        raise cur.error("CRIT needs vc=word@symbol", cur.pos - 1)
+    return CritLeaf(AbstractCLF(fields["fl"], fields["fr"], fields["vc"]))

@@ -114,9 +114,8 @@ def _cmd_boxtensor(doc, args) -> CommandResult:
     N = doc.get(args.left, "bimodule")
     M = doc.get(args.right, "bimodule")
     B = box_bimodules(N, M)
-    a1 = doc.decls[args.left].raw[0]
-    a3 = doc.decls[args.right].raw[1]
-    text = docmod.bimodule_text(args.output, B, a1, a3)
+    text = docmod.bimodule_text(args.output, B, N.left_algebra.label,
+                                M.right_algebra.label)
     payload = {
         "name": args.output,
         "generators": B.size,
@@ -144,9 +143,8 @@ def _cmd_morphism(doc, args) -> CommandResult:
         G = doc.get(args.names[0], "morphism")
         F = doc.get(args.names[1], "morphism")
         C = compose(G, F)
-        src = doc.decls[args.names[1]].raw[0]
-        tgt = doc.decls[args.names[0]].raw[1]
-        text = docmod.morphism_text(args.output, C, src, tgt)
+        text = docmod.morphism_text(args.output, C, F.source.label,
+                                    G.target.label)
         payload = {"name": args.output, "entries": len(C.table)}
         return CommandResult("pass", payload, blocks=[text])
     if args.action == "box":

@@ -32,11 +32,12 @@ import re
 from dataclasses import dataclass, field
 
 from . import clf as clfmod
+from .clf import _Cursor
 from .bimodules import DATable, TypeDABimodule, make_bimodule
-from .circles import validation_report
+from .circles import make_pmc, validation_report
 from .errors import (DocumentError, DuplicateName, ParseError,
                      StrandCalcError, UnresolvedReference)
-from .morphisms import DAMorphism, make_morphism
+from .morphisms import DAMorphism, make_morphism, same_shape
 from .strands import DGAlgebra, build_dga
 
 _ELEM = re.compile(r"(?:r\[\d+-\d+\]|h\(\d+ \d+\))+|e")
@@ -45,113 +46,37 @@ _PAIR = re.compile(r"\(\s*(\d+)\s+(\d+)\s*\)")
 
 
 @dataclass
-class Declaration:
-    kind: str
-    name: str
-    line: int
-    column: int
-    value: object
-    raw: object = None
-
-
-@dataclass
 class Document:
-    decls: dict[str, Declaration] = field(default_factory=dict)
-    order: list[str] = field(default_factory=list)
+    """Each declared name's (kind, value), in declaration order; every
+    algebra, bimodule and morphism carries its name as its label."""
 
-    def add(self, decl: Declaration) -> None:
-        if decl.name in self.decls:
-            raise DuplicateName(f"name {decl.name!r} already declared",
-                                decl.line, decl.column)
-        self.decls[decl.name] = decl
-        self.order.append(decl.name)
+    decls: dict[str, tuple[str, object]] = field(default_factory=dict)
+
+    def add(self, kind: str, name: str, line: int, value) -> None:
+        if name in self.decls:
+            raise DuplicateName(f"name {name!r} already declared", line, 0)
+        self.decls[name] = (kind, value)
 
     def get(self, name: str, kind: str, line=None, col=None):
-        decl = self.decls.get(name)
-        if decl is None or decl.kind != kind:
+        got = self.decls.get(name)
+        if got is None or got[0] != kind:
             raise UnresolvedReference(
                 f"no {kind} named {name!r}", line, col)
-        return decl.value
-
-    def names(self, kind: str) -> list[str]:
-        return [n for n in self.order if self.decls[n].kind == kind]
+        return got[1]
 
     def find_bimodule_name(self, M: TypeDABimodule) -> str | None:
         """First declared bimodule with the same index tables, if any."""
-        from .morphisms import same_shape
-        for n in self.names("bimodule"):
-            if same_shape(self.decls[n].value, M):
-                return n
-        return None
-
-
-class _Cursor:
-    def __init__(self, text: str, line: int, col: int = 0):
-        self.text = text
-        self.line = line
-        self.base = col
-        self.pos = 0
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.base + self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def done(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def end(self, what: str) -> None:
-        if not self.done():
-            raise self.error(f"trailing input after {what}")
-
-    def literal(self, token: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(token, self.pos):
-            raise self.error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def try_literal(self, token: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def regex(self, pattern: re.Pattern, what: str) -> re.Match:
-        self.skip_ws()
-        m = pattern.match(self.text, self.pos)
-        if m is None:
-            raise self.error(f"expected {what}")
-        self.pos = m.end()
-        return m
-
-    def word(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and not self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a token")
-        return self.text[start:self.pos]
-
-    def rest(self) -> str:
-        self.skip_ws()
-        out = self.text[self.pos:]
-        self.pos = len(self.text)
-        return out
+        return next((n for n, (kind, N) in self.decls.items()
+                     if kind == "bimodule" and same_shape(N, M)), None)
 
 
 def _element(cur: _Cursor, algebra: DGAlgebra) -> int:
     m = cur.regex(_ELEM, "an algebra element")
-    name = m.group(0)
     try:
-        return algebra.index(name)
+        return algebra.index(m[0])
     except KeyError:
-        raise ParseError(f"element {name!r} is not in the algebra's basis",
-                         cur.line, cur.base + m.start()) from None
+        raise cur.error(f"element {m[0]!r} is not in the algebra's basis",
+                        m.start()) from None
 
 
 def _gen_name(cur: _Cursor) -> str:
@@ -210,8 +135,7 @@ def _parse_pmc(doc: Document, cur: _Cursor, block) -> None:
         report = validation_report(genus, pairs)
     except StrandCalcError as exc:
         raise ParseError(str(exc), cur.line, 0) from None
-    doc.add(Declaration("pmc", name, cur.line, 0, report,
-                        raw=(genus, tuple(pairs))))
+    doc.add("pmc", name, cur.line, report)
 
 
 def _parse_algebra(doc: Document, cur: _Cursor, block) -> None:
@@ -223,10 +147,8 @@ def _parse_algebra(doc: Document, cur: _Cursor, block) -> None:
         raise ParseError(
             f"circle {pmc_name!r} is degenerate (surgery yields "
             f"{report.surgery_components} circles)", cur.line, 0)
-    genus, pairs = doc.decls[pmc_name].raw
-    from .circles import make_pmc
-    A = build_dga(make_pmc(genus, pairs), label=name)
-    doc.add(Declaration("algebra", name, cur.line, 0, A, raw=pmc_name))
+    A = build_dga(make_pmc(report.genus, report.matching), label=name)
+    doc.add("algebra", name, cur.line, A)
 
 
 def _parse_bimodule(doc: Document, cur: _Cursor, block) -> None:
@@ -261,8 +183,7 @@ def _parse_bimodule(doc: Document, cur: _Cursor, block) -> None:
         M = make_bimodule(A1, A2, gens, entries, label=name)
     except StrandCalcError as exc:
         raise DocumentError(str(exc), cur.line, 0) from None
-    doc.add(Declaration("bimodule", name, cur.line, 0, M,
-                        raw=(a1_name, a2_name)))
+    doc.add("bimodule", name, cur.line, M)
 
 
 def _parse_entry(line: _Cursor, A1: DGAlgebra, A2: DGAlgebra,
@@ -314,17 +235,16 @@ def _parse_morphism(doc: Document, cur: _Cursor, block) -> None:
         F = make_morphism(M, N, entries, label=name)
     except StrandCalcError as exc:
         raise DocumentError(str(exc), cur.line, 0) from None
-    doc.add(Declaration("morphism", name, cur.line, 0, F,
-                        raw=(m_name, n_name)))
+    doc.add("morphism", name, cur.line, F)
 
 
 def _parse_clf(doc: Document, cur: _Cursor, block) -> None:
     name = cur.word()
     cur.literal("=")
-    cur.skip_ws()
-    start = cur.base + cur.pos
-    expr = clfmod.parse_expression(cur.rest(), cur.line, start)
-    doc.add(Declaration("clf", name, cur.line, 0, expr))
+    expr = clfmod.parse_expression(cur.text[cur.pos:], cur.line,
+                                   cur.base + cur.pos)
+    cur.pos = len(cur.text)
+    doc.add("clf", name, cur.line, expr)
 
 
 def _parse_assign(doc: Document, cur: _Cursor, block) -> None:
@@ -339,6 +259,7 @@ def _parse_assign(doc: Document, cur: _Cursor, block) -> None:
         line = _Cursor(body.rstrip(";"), lineno)
         if line.try_literal("LETTER"):
             token = line.word()
+            at = line.pos - len(token)
             line.literal("=")
             bname = line.word()
             bimod = doc.get(bname, "bimodule", lineno, 0)
@@ -346,9 +267,9 @@ def _parse_assign(doc: Document, cur: _Cursor, block) -> None:
             if token == "DEFAULT":
                 default_letter = bimod
                 continue
-            w = clfmod.parse_word(token, lineno, 0)
+            w = clfmod.parse_word(token, lineno, at)
             if len(w.letters) != 1:
-                raise line.error("LETTER expects a single letter")
+                raise line.error("LETTER expects a single letter", at)
             letters[w.letters[0]] = bimod
         elif line.try_literal("CRIT"):
             line.literal("DEFAULT")
@@ -361,8 +282,7 @@ def _parse_assign(doc: Document, cur: _Cursor, block) -> None:
     assign = clfmod.CLFAssignment(A, letters=letters,
                                   default_letter=default_letter,
                                   default_crit=default_crit)
-    doc.add(Declaration("assign", name, cur.line, 0, assign,
-                        raw=algebra_name))
+    doc.add("assign", name, cur.line, assign)
 
 
 _HANDLERS = {

@@ -448,6 +448,25 @@ class TestExpressionText:
         assert (expr.initial, expr.resulting) == (expected.initial,
                                                   expected.resulting)
 
+    def test_parsing_a_vertical_chain_builds_one_node(self, monkeypatch):
+        # the parser collects a 2,000-link V chain's parts and checks each
+        # junction as its V closes, then builds one node, not one per link
+        text = "ID(a)"
+        for _ in range(2000):
+            text = f"V({text}, ID(a))"
+        built = [0]
+
+        class CountedVComp(VComp):
+            def __init__(self, *args):
+                built[0] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(clf, "VComp", CountedVComp)
+        expr = parse_expression(text)
+        assert built[0] == 1
+        assert len(expr.parts) == 2001 and vcomp_count(expr) == 2000
+        assert expression_str(expr) == text
+
     def test_chain_of_none_or_one(self):
         assert clf.chain([]) == IdentityLeaf(EMPTY_WORD)
         leaf = IdentityLeaf(A_LET)

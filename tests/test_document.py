@@ -73,6 +73,13 @@ TRAILING = [
     ("  CRIT DEFAULT = F", "  CRIT DEFAULT = F trailing", "trailing"),
 ]
 
+# (the LETTER line of EVERY_LINE made malformed, the column of its fault)
+BAD_LETTERS = [
+    ("  LETTER a? = M", 10),
+    ("  LETTER T[a@ = M", 9),
+    ("  LETTER ab = M", 9),
+]
+
 
 def _line_of(text: str, line: str) -> int:
     return text.splitlines().index(line) + 1
@@ -155,6 +162,16 @@ BIMODULE M OVER A A {
         assert "trailing input" in str(info.value)
         assert info.value.line == _line_of(EVERY_LINE, line)
         assert info.value.column == junky.index(" " + junk) + 1
+
+    @pytest.mark.parametrize("bad,column", BAD_LETTERS,
+                             ids=[b[0].strip() for b in BAD_LETTERS])
+    def test_letter_error_located_at_token(self, bad, column):
+        # a malformed letter is located inside its token, not at column 0
+        # or at the end of the line
+        with pytest.raises(ParseError) as info:
+            parse_document(EVERY_LINE.replace("  LETTER a = M", bad))
+        assert (info.value.line, info.value.column) == (
+            _line_of(EVERY_LINE, "  LETTER a = M"), column)
 
     @pytest.mark.parametrize("keyword,kind", [("D1", "bimodule"),
                                               ("F", "morphism")])
@@ -242,6 +259,23 @@ class TestTutorial:
         reparsed = doc2.get("C", "morphism")
         G = doc2.get("IDF", "morphism")
         assert reparsed == compose(G, G)
+
+    def test_random_edits_parse_or_are_located(self):
+        # 400 seeded edits, each inserting, deleting or replacing 1-3
+        # characters: the edited document parses or raises a DocumentError
+        # that names its line, never any other exception
+        rng = Random(2024)
+        alphabet = sorted(set(TUTORIAL) | set("?@'[]{}()=:+;,\t"))
+        for _ in range(400):
+            at, size = rng.randrange(len(TUTORIAL)), rng.randint(1, 3)
+            new = "".join(rng.choice(alphabet) for _ in range(size))
+            edit = rng.choice(["insert", "delete", "replace"])
+            text = (TUTORIAL[:at] + ("" if edit == "delete" else new)
+                    + TUTORIAL[at + (0 if edit == "insert" else size):])
+            try:
+                parse_document(text)
+            except DocumentError as exc:
+                assert exc.line is not None, (edit, at, new, str(exc))
 
 
 class TestTableRoundTrip:
