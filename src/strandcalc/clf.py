@@ -248,11 +248,16 @@ def _word(cur: _Cursor, depth: int = 0) -> Word:
 
 
 def _label(cur: _Cursor, depth: int = 0) -> CycleLabel:
-    """Read `word@symbol`; a missing @ is located at the label's start."""
+    """Read `word@symbol`.  A word stopping at a stray character is
+    located there; one running to `,`, `)`, `]` or the end lacks its @
+    and is located at the label's start."""
     cur.skip_ws()
     start = cur.pos
     prefix = _word(cur, depth)
     if not cur.try_literal("@"):
+        if not cur.done() and cur.text[cur.pos] not in ",)]":
+            raise cur.error(f"unexpected character {cur.text[cur.pos]!r} "
+                            "in cycle label")
         raise cur.error(f"cycle label {cur.text[start:cur.pos]!r} lacks '@'",
                         start)
     return CycleLabel(prefix, cur.regex(_SYMBOL, "a cycle base symbol")[0])
@@ -405,7 +410,7 @@ def _junction(below: CLFExpression, above: CLFExpression) -> None:
 def _node(kind: type, parts: list) -> CLFExpression:
     """One node of the kind over the parts, with parts of the same kind
     spliced in; one part gives itself.  An H node multiplies the parts'
-    words; a V node checks each junction's middle words."""
+    words; a V node's junctions are checked by compose_v or the parser."""
     if len(parts) == 1:
         return parts[0]
     flat: list = []
@@ -415,8 +420,6 @@ def _node(kind: type, parts: list) -> CLFExpression:
         words = (concat(*(e.initial for e in parts)),
                  concat(*(e.resulting for e in parts)))
     else:
-        for below, above in zip(parts, parts[1:]):
-            _junction(below, above)
         words = parts[0].initial, parts[-1].resulting
     return kind(tuple(flat), *words)
 
@@ -433,6 +436,7 @@ def compose_h(e1: CLFExpression, e2: CLFExpression) -> HComp:
 
 def compose_v(bottom: CLFExpression, top: CLFExpression) -> VComp:
     """Vertical composition; the middle words must agree when reduced."""
+    _junction(bottom, top)
     return _node(VComp, [bottom, top])
 
 

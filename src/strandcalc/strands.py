@@ -193,28 +193,6 @@ def _regroup(c: PointedMatchedCircle, prims: set[Primitive]) -> frozenset:
 
 # --- algebra operations --------------------------------------------------
 
-def _keyed(d: StrandDiagram) -> tuple[dict, dict]:
-    """d's expansions keyed by sorted source points and by sorted target
-    points; both are unique, as no horizontal pair meets an endpoint."""
-    prims = expansions(d)
-    return ({tuple(s for s, _ in p): p for p in prims},
-            {tuple(sorted(t for _, t in p)): p for p in prims})
-
-
-def _keyed_product(c: PointedMatchedCircle, a: tuple[dict, dict],
-                   b: tuple[dict, dict]) -> frozenset:
-    """Product of two diagrams given by their _keyed tables: an expansion
-    of a meets only the expansion of b whose sources are its targets."""
-    acc: set[Primitive] = set()
-    for key, p in a[1].items():
-        q = b[0].get(key)
-        if q is not None:
-            comp = _concat(p, q)
-            if comp is not None:
-                acc ^= {comp}
-    return _regroup(c, acc) if acc else EMPTY
-
-
 def multiply(c: PointedMatchedCircle, a: StrandDiagram,
              b: StrandDiagram) -> frozenset:
     """Product of two diagrams as a GF(2) set of diagrams.
@@ -224,7 +202,17 @@ def multiply(c: PointedMatchedCircle, a: StrandDiagram,
     """
     if target_idem(c, a) != source_idem(c, b):
         return EMPTY
-    return _keyed_product(c, _keyed(a), _keyed(b))
+    # an expansion of a meets only the expansion of b starting at its
+    # targets (no two expansions of b start at the same points)
+    starts = {tuple(s for s, _ in q): q for q in expansions(b)}
+    acc: set[Primitive] = set()
+    for p in expansions(a):
+        q = starts.get(tuple(sorted(t for _, t in p)))
+        if q is not None:
+            comp = _concat(p, q)
+            if comp is not None:
+                acc ^= {comp}
+    return _regroup(c, acc) if acc else EMPTY
 
 
 def differential(c: PointedMatchedCircle, a: StrandDiagram) -> frozenset:
@@ -247,25 +235,34 @@ def enumerate_basis(c: PointedMatchedCircle) -> tuple[StrandDiagram, ...]:
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(c: PointedMatchedCircle) -> tuple[StrandDiagram, ...]:
+    """Sources are each k-subset of points on k distinct pairs; targets
+    are assigned in source order by backtracking, each above its source
+    and on a pair no earlier target uses; horizontals range over the
+    pairs no endpoint touches.  The sort fixes the canonical order."""
     pl = _pair_lookup(c)
-    points = list(c.points)
+
+    def assign(sources, used):  # yields (targets, the pairs they use)
+        if not sources:
+            yield (), used
+            return
+        for t in c.points:
+            if t > sources[0] and pl[t] not in used:
+                for rest, pairs in assign(sources[1:], used | {pl[t]}):
+                    yield (t,) + rest, pairs
+
     out = []
     for k in range(0, 2 * c.genus + 1):
-        for sources in itertools.combinations(points, k):
-            if len({pl[s] for s in sources}) < k:
+        for sources in itertools.combinations(c.points, k):
+            touched = {pl[s] for s in sources}
+            if len(touched) < k:
                 continue
-            for targets in itertools.permutations(points, k):
-                if any(t <= s for s, t in zip(sources, targets)):
-                    continue
-                if len({pl[t] for t in targets}) < k:
-                    continue
-                strands = tuple(sorted(zip(sources, targets)))
-                touched = {pl[x] for x in sources}
-                touched |= {pl[x] for x in targets}
-                free = [p for p in c.matching if p not in touched]
+            for targets, used in assign(sources, frozenset()):
+                strands = tuple(zip(sources, targets))
+                free = [p for p in c.matching
+                        if p not in touched and p not in used]
                 for r in range(len(free) + 1):
                     for horiz in itertools.combinations(free, r):
-                        out.append(StrandDiagram(strands, tuple(horiz)))
+                        out.append(StrandDiagram(strands, horiz))
     out.sort(key=lambda d: (d.occupied, d.strands, d.horizontals))
     return tuple(out)
 
@@ -462,10 +459,14 @@ class DGAlgebra:
 def build_dga(c: PointedMatchedCircle, label: str = "") -> DGAlgebra:
     """Package the strand algebra of c as a DGAlgebra.
 
-    The basis is enumerate_basis(c); the differential table is filled
-    eagerly, products on first use through _keyed_product, with each
-    element's _keyed table built when first needed and freed, with the
-    closure, by materialize.  The idempotents (diagrams without moving
+    The basis is enumerate_basis(c) and the differential table is filled
+    eagerly.  Products are computed a row at a time: the first product
+    asked with left factor a_i concatenates each expansion of a_i with
+    every expansion that starts at its target points, sums the results
+    per right factor and keeps each diagram all of whose expansions are
+    present; later products with that left factor read the row, which
+    materialize frees with the closure.  Expansions meet only when the
+    idempotents match.  The idempotents (diagrams without moving
     strands) are orthogonal and every diagram b equals
     source_idem(b) . b . target_idem(b), so products and differentials
     preserve idempotents and the algebra is idempotent-graded.
@@ -485,10 +486,28 @@ def build_dga(c: PointedMatchedCircle, label: str = "") -> DGAlgebra:
         if terms:
             diff[i] = frozenset(index[t] for t in terms)
 
-    key = lru_cache(maxsize=None)(lambda i: _keyed(basis[i]))
+    starts = group_index((tuple(s for s, _ in q), (j, q))
+                         for j, d in enumerate(basis) for q in expansions(d))
+    owner = {q: j for meets in starts.values() for j, q in meets}
+    rows: dict[int, dict[int, frozenset]] = {}
 
     def mult_fn(i: int, j: int) -> frozenset:
-        return frozenset(index[t] for t in _keyed_product(c, key(i), key(j)))
+        if i not in rows:  # a_i's row: a_i . a_k for every k it meets
+            acc: dict[int, frozenset] = {}
+            for p in expansions(basis[i]):
+                for k, q in starts.get(tuple(sorted(t for _, t in p)), ()):
+                    comp = _concat(p, q)
+                    if comp is not None:
+                        acc[k] = acc.get(k, EMPTY) ^ {comp}
+            row = {}
+            for k, prims in acc.items():
+                owned = group_index((owner.get(p), p) for p in prims)
+                if any(o is None or len(ps) != 1 << len(basis[o].horizontals)
+                       for o, ps in owned.items()):
+                    raise ArithmeticError("primitive sum does not regroup")
+                row[k] = frozenset(owned)
+            rows[i] = row
+        return rows[i].pop(j, EMPTY)
 
     idempotents = sorted(idem_index.values())
     return DGAlgebra(names, idempotents, left, right, diff,

@@ -314,6 +314,27 @@ class TestExpressionText:
             assert (info.value.line, info.value.column) == (3, 8 + column)
             assert "does not match" in str(info.value)
 
+    def test_deep_junction_checked_once_at_its_head(self, monkeypatch):
+        # 300 V links, the 200th of which has ID(b) above ID(a): the
+        # mismatch is located at that V's head, 2 columns per V around it,
+        # and each junction's words are compared once
+        n, bad = 300, 200
+        text = "ID(a)"
+        for k in range(n):
+            text = f"V({text}, ID({'b' if k == bad else 'a'}))"
+        calls = []
+        real = clf.words_equal
+        monkeypatch.setattr(clf, "words_equal",
+                            lambda v, w: calls.append(1) or real(v, w))
+        with pytest.raises(ParseError) as info:
+            parse_expression(text, 2, 7)
+        assert (info.value.line, info.value.column) == (
+            2, 7 + 2 * (n - 1 - bad))
+        assert len(calls) == bad + 1
+        calls.clear()
+        parse_expression(text.replace("ID(b)", "ID(a)"))
+        assert len(calls) == n
+
     @given(st.recursive(leaf_strategy, compose_strategy, max_leaves=12))
     def test_round_trip_random_trees(self, expr):
         assert parse_expression(expression_str(expr)) == expr
@@ -512,6 +533,14 @@ class TestExpressionText:
         ("H(ID(a), Q(b))", 9),
         ("CRIT(fl=a, fr=b, vc=ab)", 20),
         ("CRIT(fl=a, fx=b, vc=e@z)", 11),
+        # a label's word stopping at a stray character is located there;
+        # one running to the end of its field lacks its @ and is located
+        # at the label's start
+        ("ID(T[a?@z])", 6),
+        ("CRIT(fl=e, fr=e, vc=a?@z)", 21),
+        ("ID(T[a])", 5),
+        ("CRIT(vc=ab, fl=a)", 8),
+        ("CRIT(fl=a, vc=ab", 14),
     ])
     def test_parse_errors_located(self, text, column):
         with pytest.raises(ParseError) as info:

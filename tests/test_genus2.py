@@ -8,7 +8,7 @@ from strandcalc import clf
 from strandcalc.bimodules import (check_structure, homology,
                                   identity_bimodule, make_bimodule,
                                   named_entry, sandwiched)
-from strandcalc.circles import reverse, split_circle, torus_circle
+from strandcalc.circles import make_pmc, reverse, split_circle, torus_circle
 from strandcalc.morphisms import (HomotopyWitness, identity_morphism,
                                   is_closed, is_homotopic,
                                   is_naive_quasi_iso, make_morphism,
@@ -79,20 +79,36 @@ def test_sampled_verification_holds_no_sample_list():
     assert peak < 256 * 1024
 
 
+def matched_products_checked(c, A):
+    """Check every idempotent-matched product of A, the algebra of c,
+    and multiply against ref_multiply; returns the number of matched
+    pairs."""
+    basis = enumerate_basis(c)
+    matched = 0
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            if A.right_idem[i] != A.left_idem[j]:
+                continue
+            matched += 1
+            want = ref_multiply(c, a, b)
+            assert multiply(c, a, b) == want
+            assert A.product(i, j) == {A.index(str(d)) for d in want}
+    return matched
+
+
 class TestGenus2Products:
     def test_matched_pairs_match_reference(self):
-        c = split_circle(2)
-        basis = enumerate_basis(c)
-        matched = 0
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
-                if A2.right_idem[i] != A2.left_idem[j]:
-                    continue
-                matched += 1
-                want = ref_multiply(c, a, b)
-                assert multiply(c, a, b) == want
-                assert A2.product(i, j) == {A2.index(str(d)) for d in want}
-        assert matched == 24256
+        assert matched_products_checked(split_circle(2), A2) == 24256
+
+    def test_reversed_circle_matches_reference(self):
+        # the row index must not lean on the split circle's geometry; that
+        # circle is its own reversal, so another genus-2 circle is reversed
+        c = reverse(make_pmc(2, [(1, 3), (2, 6), (4, 7), (5, 8)]))
+        assert c != split_circle(2) and reverse(c) != c
+        A = build_dga(c)
+        assert matched_products_checked(c, A) == 68448
+        A.materialize()
+        assert len(A._mult) == 8645
 
     def test_unmatched_pairs_are_zero(self):
         n = A2.size

@@ -2,10 +2,11 @@
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
-from strandcalc.circles import reverse, split_circle, torus_circle
+from strandcalc.circles import make_pmc, reverse, split_circle, torus_circle
 from strandcalc.strands import (DGAlgebra, StrandDiagram, build_dga,
                                 diagram_name, differential, enumerate_basis,
                                 make_diagram, multiply, parse_diagram_name,
@@ -15,6 +16,8 @@ from helpers import brute_force_diagrams, ref_multiply, table_mult
 
 T = torus_circle()
 G2 = split_circle(2)
+# a genus-2 circle that is not its own reversal (the split circle is)
+OFF = reverse(make_pmc(2, [(1, 3), (2, 6), (4, 7), (5, 8)]))
 
 
 def d(name):
@@ -47,6 +50,19 @@ class TestEnumeration:
     def test_reverse_preserves_basis_count(self):
         assert len(enumerate_basis(reverse(T))) == len(enumerate_basis(T))
         assert len(enumerate_basis(reverse(G2))) == len(enumerate_basis(G2))
+
+    def test_reversed_genus2_matches_brute_force(self):
+        assert reverse(G2) == G2 and OFF != reverse(OFF)
+        got = {(x.strands, x.horizontals) for x in enumerate_basis(OFF)}
+        assert got == brute_force_diagrams(OFF)
+
+    def test_genus3_counts_and_order(self):
+        basis = enumerate_basis(split_circle(3))
+        counts = Counter(x.occupied for x in basis)
+        assert [counts[k] for k in range(7)] == [
+            1, 72, 1589, 12448, 30451, 14744, 343]
+        key = [(x.occupied, x.strands, x.horizontals) for x in basis]
+        assert all(a < b for a, b in zip(key, key[1:]))
 
     def test_deterministic_order(self):
         basis = enumerate_basis(T)
