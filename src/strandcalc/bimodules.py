@@ -37,7 +37,7 @@ from typing import Iterable, Mapping
 
 from . import f2
 from .errors import IdempotentMismatch, UnknownSymbol
-from .strands import DGAlgebra, sorted_index
+from .strands import DGAlgebra, group_index, sorted_index
 
 # table value: frozenset of (A1 basis index, generator index)
 Span = frozenset
@@ -317,17 +317,22 @@ def check_structure(M: TypeDABimodule) -> StructureReport:
     """Evaluate the structure relation at every arity.
 
     Read D_1 as a morphism D from M to itself.  The relation is then
-    d(D) + D o D = 0 in the morphism complex: the two mu_2 terms of d(D)
-    cancel, and D o D is (mu_2 x I) o D_2.  The nonzero entries of that
-    table are exactly the failing positions, and a failing report carries
-    the canonically first.  `tested` counts the positions of arity <= 2K
-    where the relation can be nonzero (see the module docstring), only
-    the chained ones for a chained table.
+    d(D) + D o D = 0 in the morphism complex.  Both mu_2 terms of d(D),
+    and D o D = (mu_2 x I) o D_2, are the one sum mu_2< D, D > over
+    chained pairs of entries, so over GF(2) the relation is d(D) less its
+    mu_2< D1_M then D > term.  Its terms are toggled into one parity set,
+    cancelling as they meet; the survivors are the failing positions, and
+    a failing report carries the canonically first.  `tested` counts the
+    positions of arity <= 2K where the relation can be nonzero (see the
+    module docstring), only the chained ones for a chained table.
     """
-    from .morphisms import DAMorphism, compose, morphism_differential
-    D = DAMorphism(M, M, M.table)
-    witness = first_entry(M, M, (morphism_differential(D)
-                                 + compose(D, D)).table)
+    from .morphisms import toggle_image_except_before
+    acc: set = set()
+    for (x, seq), outs in M.table.items():
+        for b, y in outs:
+            toggle_image_except_before(M, M, x, seq, b, y, acc)
+    witness = first_entry(M, M, group_index(((x, seq), out)
+                                            for x, seq, out in acc))
     bound = 2 * M.arity_bound
     return StructureReport(M.label, witness is None, bound, True,
                            M.is_chained, _positions(M, bound), witness)

@@ -258,8 +258,8 @@ def _label(cur: _Cursor, depth: int = 0) -> CycleLabel:
         if not cur.done() and cur.text[cur.pos] not in ",)]":
             raise cur.error(f"unexpected character {cur.text[cur.pos]!r} "
                             "in cycle label")
-        raise cur.error(f"cycle label {cur.text[start:cur.pos]!r} lacks '@'",
-                        start)
+        raise cur.error(f"cycle label {cur.text[start:cur.pos].rstrip()!r} "
+                        "lacks '@'", start)
     return CycleLabel(prefix, cur.regex(_SYMBOL, "a cycle base symbol")[0])
 
 

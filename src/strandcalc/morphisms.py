@@ -123,13 +123,13 @@ def _toggle(parity: set, term) -> None:
         parity.add(term)
 
 
-def _coord_image(M: TypeDABimodule, N: TypeDABimodule,
-                 x: int, seq: tuple[int, ...], b: int, y: int) -> set:
-    """d of the single-coordinate table (x, seq) -> (b, y), as a parity
-    set of (x', seq', (t, z)) coordinates.  The two mu_2 terms run over
-    the nonzero products b.c and c.b only."""
+def toggle_image_except_before(M: TypeDABimodule, N: TypeDABimodule,
+                               x: int, seq: tuple[int, ...], b: int, y: int,
+                               acc: set) -> None:
+    """Toggle into acc the terms of d of the coordinate (x, seq) -> (b, y)
+    other than mu_2< D1_M then H >: d on b, mu_2< H then D1_N >, and d or
+    a product on the inputs."""
     A1, A2 = M.left_algebra, M.right_algebra
-    acc: set[Coord] = set()
     for t in A1.d(b):
         _toggle(acc, (x, seq, (t, y)))
     after = N.entries_by_source_term
@@ -137,11 +137,6 @@ def _coord_image(M: TypeDABimodule, N: TypeDABimodule,
         for seq2, z in after.get((y, c), ()):
             for t in bc:
                 _toggle(acc, (x, seq + seq2, (t, z)))
-    before = M.entries_by_target_term
-    for c, cb in A1.products_by_right.get(b, ()):
-        for x0, seq0 in before.get((x, c), ()):
-            for t in cb:
-                _toggle(acc, (x0, seq0 + seq, (t, y)))
     codiff = A2.codiff_index
     for k, u in enumerate(seq):
         for a in codiff.get(u, ()):
@@ -150,6 +145,20 @@ def _coord_image(M: TypeDABimodule, N: TypeDABimodule,
     for k, w in enumerate(seq):
         for u, v in coprod.get(w, ()):
             _toggle(acc, (x, seq[:k] + (u, v) + seq[k + 1:], (b, y)))
+
+
+def _coord_image(M: TypeDABimodule, N: TypeDABimodule,
+                 x: int, seq: tuple[int, ...], b: int, y: int) -> set:
+    """d of the single-coordinate table (x, seq) -> (b, y), as a parity
+    set of (x', seq', (t, z)) coordinates.  The two mu_2 terms run over
+    the nonzero products b.c and c.b only."""
+    acc: set[Coord] = set()
+    toggle_image_except_before(M, N, x, seq, b, y, acc)
+    before = M.entries_by_target_term
+    for c, cb in M.left_algebra.products_by_right.get(b, ()):
+        for x0, seq0 in before.get((x, c), ()):
+            for t in cb:
+                _toggle(acc, (x0, seq0 + seq, (t, y)))
     return acc
 
 

@@ -7,7 +7,9 @@ every pair of expansions, the structure-map oracle evaluates the
 recursion as an explicit sum over ordered splittings, and the
 structure-relation reference evaluates the relation one input sequence
 at a time.  The box-tensor reference shares the library's table builder
-but walks every chain up to the fed table's arity bound.
+but walks every chain up to the fed table's arity bound.  The structure
+relation is also evaluated through the library's morphism complex, as
+d(D) + D o D, to hold check_structure's single pass to that formula.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from random import Random
 import numpy as np
 
 from strandcalc import f2
-from strandcalc.bimodules import compute_Dn, named_entry, sandwiched
+from strandcalc.bimodules import (_positions, compute_Dn, first_entry,
+                                  named_entry, sandwiched)
 from strandcalc.boxes import _box_table
-from strandcalc.morphisms import DAMorphism
+from strandcalc.morphisms import DAMorphism, compose, morphism_differential
 from strandcalc.strands import (_concat, _regroup, expansions, source_idem,
                                 target_idem)
 
@@ -304,6 +307,17 @@ def reference_structure(M):
         x, seq = min(table, key=lambda k: (len(k[1]), k))
         witness = named_entry(M, M, x, seq, table[(x, seq)])
     return table, witness, len(positions)
+
+
+def relation_by_morphism_complex(M):
+    """(passed, witness, tested) of the structure relation evaluated as
+    d(D) + D o D in the morphism complex, D the structure table read as a
+    morphism from M to itself: both mu_2 terms of d(D) and D o D computed
+    apart, as three copies of one sum."""
+    D = DAMorphism(M, M, M.table)
+    witness = first_entry(M, M, (morphism_differential(D)
+                                 + compose(D, D)).table)
+    return witness is None, witness, _positions(M, 2 * M.arity_bound)
 
 
 # --- random morphisms ---------------------------------------------------------

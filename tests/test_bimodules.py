@@ -8,13 +8,15 @@ from strandcalc import f2
 from strandcalc.bimodules import (arity_zero_complex, check_structure,
                                   compute_Dn, homology, identity_bimodule,
                                   make_bimodule, sandwiched)
+from strandcalc.boxes import box_bimodules
 from strandcalc.circles import torus_circle
 from strandcalc.errors import IdempotentMismatch, NotAComplex, UnknownSymbol
 from strandcalc.morphisms import DAMorphism, compose, morphism_differential
 from strandcalc.strands import DGAlgebra, build_dga
 
 from helpers import (chained_coords, direct_Dn, random_chained_table,
-                     random_unchained_table, reference_structure, table_mult)
+                     random_unchained_table, reference_structure,
+                     relation_by_morphism_complex, table_mult)
 
 A = build_dga(torus_circle(), label="A")
 I = identity_bimodule(A, label="I")
@@ -253,6 +255,17 @@ class TestStructureReference:
                            {(0, ()): [(I0, 1)]})
         assert assert_matches_reference(I).tested == 100
         assert assert_matches_reference(M2).tested == 2
+
+
+class TestRelationInOnePass:
+    def test_torus_bimodules_match_morphism_complex(self):
+        # I, the tutorial's M2 and I box M2
+        M2 = make_bimodule(A, A, [("u", I0, I0), ("v", I0, I0)],
+                           {(0, ()): [(I0, 1)]})
+        for M in (I, M2, box_bimodules(I, M2)):
+            report = check_structure(M)
+            assert (report.passed, report.witness, report.tested) == \
+                relation_by_morphism_complex(M)
 
 
 class TestIdentityBimodule:

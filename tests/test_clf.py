@@ -547,6 +547,13 @@ class TestExpressionText:
             parse_expression(text, 7, 100)
         assert (info.value.line, info.value.column) == (7, 100 + column)
 
+    def test_missing_at_quotes_the_label_without_spaces(self):
+        # the spaces before the field's `,` are not part of the label
+        with pytest.raises(ParseError) as info:
+            parse_expression("CRIT(vc=a  , fl=e)", 7, 100)
+        assert "cycle label 'a' lacks '@'" in str(info.value)
+        assert (info.value.line, info.value.column) == (7, 108)
+
     def test_cycle_label_round_trip(self):
         for text in ("e@z", "ab'@y", "T[e@z]a@y"):
             assert str(parse_cycle_label(text)) == text

@@ -19,7 +19,8 @@ from strandcalc.strands import (EMPTY, DGAlgebra, build_dga,
                                 enumerate_basis, multiply, verify_dga)
 
 from helpers import (input_positions, random_chained_table, spy_solve,
-                     reference_defect, reference_structure, ref_multiply)
+                     reference_defect, reference_structure, ref_multiply,
+                     relation_by_morphism_complex)
 
 A2 = build_dga(split_circle(2), label="A2")
 I2 = identity_bimodule(A2, label="I2")
@@ -32,7 +33,10 @@ class TestReversedCircles:
         assert all(c.exhaustive for c in rep.checks)
 
     def test_reversed_genus2_sampled(self):
-        rep = verify_dga(build_dga(reverse(split_circle(2))), 10 ** 4)
+        # the split circle is its own reversal, so another one is reversed
+        c = make_pmc(2, [(1, 3), (2, 6), (4, 7), (5, 8)])
+        assert reverse(c) != c
+        rep = verify_dga(build_dga(reverse(c)), 10 ** 4)
         assert rep.passed
 
 
@@ -200,6 +204,37 @@ class TestGenus2Bimodules:
         _, boundary = arity_zero_complex(I2)
         assert homology(I2) == f2.homology_dim(boundary, boundary)
         assert homology(box_bimodules(I2, I2)) == homology(I2)
+
+    def test_structure_matches_morphism_complex(self):
+        # I2 and every 43rd one-entry-dropped mutant, the unit row of e
+        # (key 0, a removal the relation cannot see) included
+        gens = [(g.name, g.left, g.right) for g in I2.gens]
+        keys = sorted(I2.d1)
+        mutants = [make_bimodule(A2, A2, gens,
+                                 {k: v for k, v in I2.d1.items() if k != drop})
+                   for drop in keys[::43]]
+        failing = 0
+        for M in [I2] + mutants:
+            report = check_structure(M)
+            assert (report.passed, report.witness, report.tested) == \
+                relation_by_morphism_complex(M)
+            failing += not report.passed
+        assert (len(mutants), failing) == (16, 15)
+
+    def test_structure_check_memory(self):
+        # the relation's terms cancel as they are toggled (d(D) + D o D,
+        # three copies of mu_2< D, D >, peaks near 7 MB).  A first check
+        # builds A2's product indexes, which belong to the algebra.
+        check_structure(identity_bimodule(A2))
+        M = identity_bimodule(A2)
+        tracemalloc.start()
+        try:
+            report = check_structure(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 10 ** 6
 
 
 class TestGenus2Evaluation:
