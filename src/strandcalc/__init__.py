@@ -8,12 +8,11 @@ from .circles import (PointedMatchedCircle, make_pmc, reverse, split_circle,
 from .strands import (DGAlgebra, StrandDiagram, build_dga, diagram_name,
                       differential, enumerate_basis, make_diagram, multiply,
                       parse_diagram_name, verify_dga)
-from .bimodules import (TypeDABimodule, arity_zero_complex, check_structure,
-                        compute_Dn, homology, identity_bimodule,
-                        make_bimodule)
+from .bimodules import (TypeDABimodule, check_structure, compute_Dn,
+                        homology, identity_bimodule, make_bimodule)
 from .morphisms import (DAMorphism, HomotopyWitness, NotWithinCap, compose,
                         identity_morphism, is_closed, is_homotopic,
-                        is_naive_quasi_iso, make_morphism,
+                        is_naive_quasi_iso, make_morphism, mapping_cone,
                         morphism_differential, same_shape, zero_morphism)
 from .boxes import (box_bimodules, box_morphism_left, box_morphism_right,
                     box_morphisms)
@@ -27,11 +26,12 @@ __all__ = [
     "DGAlgebra", "StrandDiagram", "build_dga", "diagram_name",
     "differential", "enumerate_basis", "make_diagram", "multiply",
     "parse_diagram_name", "verify_dga",
-    "TypeDABimodule", "arity_zero_complex", "check_structure", "compute_Dn",
-    "homology", "identity_bimodule", "make_bimodule",
+    "TypeDABimodule", "check_structure", "compute_Dn", "homology",
+    "identity_bimodule", "make_bimodule",
     "DAMorphism", "HomotopyWitness", "NotWithinCap", "compose",
     "identity_morphism", "is_closed", "is_homotopic", "is_naive_quasi_iso",
-    "make_morphism", "morphism_differential", "same_shape", "zero_morphism",
+    "make_morphism", "mapping_cone", "morphism_differential", "same_shape",
+    "zero_morphism",
     "box_bimodules", "box_morphism_left", "box_morphism_right",
     "box_morphisms",
     "clf", "document", "errors", "f2",

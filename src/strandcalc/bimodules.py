@@ -27,6 +27,9 @@ m-term shortens or preserves sequences.  check_structure computes the
 relation at every arity at once, as a table in the morphism complex; the
 2K bound delimits the positions where it can be nonzero, which is the
 range its `tested` count covers.
+
+homology reads the arity-zero part of a morphism complex Mor(P, M)
+through the morphisms module's coordinate_system and differential.
 """
 
 from __future__ import annotations
@@ -350,34 +353,24 @@ def identity_bimodule(A: DGAlgebra, label: str = "") -> TypeDABimodule:
                          label=label or f"I({A.label or 'A'})")
 
 
-def arity_zero_complex(M: TypeDABimodule):
-    """The chain complex of input-free data.
-
-    Basis: pairs (b, x) with b an A1 basis element whose right idempotent
-    matches the left idempotent of x, canonically ordered.  Boundary:
-    (b, x) -> (db, x) + sum b.c (x) y over D_1(x, []) = sum c (x) y.
-    Returns (basis, boundary matrix) with matrix columns indexed by the
-    basis and rows likewise.
-    """
-    A1 = M.left_algebra
-    basis = [(b, x) for b in range(A1.size) for x in range(M.size)
-             if A1.right_idem[b] == M.gens[x].left]
-    pos = {bx: k for k, bx in enumerate(basis)}
-    entries = set()
-    for col, (b, x) in enumerate(basis):
-        image: set = set()
-        for t in A1.d(b):
-            image ^= {(t, x)}
-        for c, y in M.entry(x, ()):
-            for t in A1.product(b, c):
-                image ^= {(t, y)}
-        for bx in image:
-            entries.add((pos[bx], col))
-    n = len(basis)
-    return basis, f2.F2Matrix(n, n, frozenset(entries))
-
-
 def homology(M: TypeDABimodule) -> int:
-    """Homology dimension of the arity-zero complex (via f2)."""
-    _, boundary = arity_zero_complex(M)
-    return f2.homology_dim(boundary, boundary)
+    """Homology dimension of the arity-0 coordinates (p, (), (b, y)) of
+    Mor(P, M), P the entry-free bimodule with one generator p = iL(b) per
+    idempotent of A1: d(b, y) = (db, y) + b.D_1(y, []).  Against M's
+    input-free entries d keeps arity 0, so the sorted coordinates index
+    its rows and columns alike.  Raises NotAComplex unless d.d = 0."""
+    from .morphisms import _coord_image, coordinate_system
+    A1, A2 = M.left_algebra, M.right_algebra
+    P = TypeDABimodule(A1, A2, tuple(
+        BimodGenerator(A1.name(i), i, A2.idempotents[0])
+        for i in A1.idempotents), {})
+    M0 = TypeDABimodule(A1, A2, M.gens,
+                        {k: v for k, v in M.table.items() if not k[1]})
+    p_of = {i: p for p, i in enumerate(A1.idempotents)}
+    y_at = group_index((g.left, y) for y, g in enumerate(M.gens))
+    coords = sorted((p_of[A1.left_idem[b]], (), (b, y))
+                    for b in range(A1.size)
+                    for y in y_at.get(A1.right_idem[b], ()))
+    d, _ = coordinate_system(coords, lambda e: (e,),
+                             lambda u: _coord_image(P, M0, *u[:2], *u[2]))
+    return f2.homology_dim(d, d)

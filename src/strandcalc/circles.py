@@ -130,12 +130,11 @@ def make_pmc(genus: int, matching) -> PointedMatchedCircle:
     Raises MalformedMatching when the pairs do not partition 1..4g and
     DegenerateMatching when the surgery criterion fails.
     """
-    pairs = _check_partition(genus, matching)
-    components = surgery_component_count(genus, pairs)
-    if components != 1:
-        raise DegenerateMatching(
-            f"surgery yields {components} circles, expected 1")
-    return PointedMatchedCircle(genus, pairs)
+    report = validation_report(genus, matching)
+    if not report.valid:
+        raise DegenerateMatching(f"surgery yields {report.surgery_components}"
+                                 f" circles, expected 1")
+    return PointedMatchedCircle(genus, report.matching)
 
 
 def validate(c: PointedMatchedCircle) -> bool:

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from . import f2
-from .bimodules import (DATable, Key, Span, TypeDABimodule,
-                        arity_zero_complex, checked_table, first_entry)
+from .bimodules import (BimodGenerator, DATable, Key, Span, TypeDABimodule,
+                        checked_table, first_entry, homology)
 from .errors import BimoduleMismatch, NotClosed
 
 Coord = tuple[int, tuple[int, ...], tuple[int, int]]
@@ -355,31 +355,34 @@ def is_homotopic(F: DAMorphism, G: DAMorphism,
     return HomotopyWitness(witness, cap)
 
 
-# --- naive quasi-isomorphism ---------------------------------------------
+# --- mapping cone and naive quasi-isomorphism ----------------------------
+
+def mapping_cone(F: DAMorphism) -> TypeDABimodule:
+    """The cone of F: M -> N, on M's generators then N's, renamed M.x and
+    N.y so that no two names are equal, with table D1_M + D1_N + F.  Its
+    structure relation is M's, N's and dF."""
+    M, N, m = F.source, F.target, F.source.size
+    gens = tuple(BimodGenerator(f"{side}.{g.name}", g.left, g.right)
+                 for side, P in (("M", M), ("N", N)) for g in P.gens)
+    table = {(m + y, seq): frozenset((b, m + z) for b, z in outs)
+             for (y, seq), outs in N.table.items()}
+    table.update(M.table)
+    for (x, seq), outs in F.table.items():
+        table[x, seq] = M.entry(x, seq) | {(b, m + y) for b, y in outs}
+    return TypeDABimodule(M.left_algebra, M.right_algebra, gens, table,
+                          f"cone({F.label})")
+
 
 def is_naive_quasi_iso(F: DAMorphism) -> bool:
     """True iff the arity-zero part of F is a quasi-isomorphism.
 
     That part sends b (x) x to sum mu_2(b, b') (x) y over
     F(x, []) = sum b' (x) y; being closed, it is a chain map, and it is a
-    quasi-isomorphism iff its mapping cone is acyclic.  This is a
-    deliberately weak stand-in for quasi-isomorphism (it sees only the
-    input-free part of the structure); every report built on it is
-    labelled naive.
+    quasi-isomorphism iff its mapping cone is acyclic, which is the
+    arity-zero complex of mapping_cone(F).  This is a deliberately weak
+    stand-in for quasi-isomorphism (it sees only the input-free part of
+    the structure); every report built on it is labelled naive.
     """
     if not is_closed(F):
         raise NotClosed("is_naive_quasi_iso requires a closed morphism")
-    A1 = F.source.left_algebra
-    basis_M, d_M = arity_zero_complex(F.source)
-    basis_N, d_N = arity_zero_complex(F.target)
-    n = len(basis_M)
-    pos_N = {bx: n + i for i, bx in enumerate(basis_N)}
-    f0: set = set()
-    for col, (b, x) in enumerate(basis_M):
-        for b2, y in F.entry(x, ()):
-            for t in A1.product(b, b2):
-                _toggle(f0, (pos_N[(t, y)], col))
-    size = n + len(basis_N)
-    cone = f2.F2Matrix(size, size, frozenset(
-        d_M.entries | {(r + n, c + n) for r, c in d_N.entries} | f0))
-    return f2.homology_dim(cone, cone) == 0
+    return homology(mapping_cone(F)) == 0

@@ -10,6 +10,8 @@ at a time.  The box-tensor reference shares the library's table builder
 but walks every chain up to the fed table's arity bound.  The structure
 relation is also evaluated through the library's morphism complex, as
 d(D) + D o D, to hold check_structure's single pass to that formula.
+The arity-zero complex reference builds homology's complex, and the
+naive mapping cone, with their own product loops.
 """
 
 from __future__ import annotations
@@ -318,6 +320,56 @@ def relation_by_morphism_complex(M):
     witness = first_entry(M, M, (morphism_differential(D)
                                  + compose(D, D)).table)
     return witness is None, witness, _positions(M, 2 * M.arity_bound)
+
+
+# --- arity-zero complex and naive cone references ---------------------------
+
+
+def reference_arity_zero_complex(M):
+    """The chain complex of input-free data.
+
+    Basis: pairs (b, x) with b an A1 basis element whose right idempotent
+    matches the left idempotent of x, canonically ordered.  Boundary:
+    (b, x) -> (db, x) + sum b.c (x) y over D_1(x, []) = sum c (x) y.
+    Returns (basis, boundary matrix) with matrix columns indexed by the
+    basis and rows likewise.
+    """
+    A1 = M.left_algebra
+    basis = [(b, x) for b in range(A1.size) for x in range(M.size)
+             if A1.right_idem[b] == M.gens[x].left]
+    pos = {bx: k for k, bx in enumerate(basis)}
+    entries = set()
+    for col, (b, x) in enumerate(basis):
+        image: set = set()
+        for t in A1.d(b):
+            image ^= {(t, x)}
+        for c, y in M.entry(x, ()):
+            for t in A1.product(b, c):
+                image ^= {(t, y)}
+        for bx in image:
+            entries.add((pos[bx], col))
+    n = len(basis)
+    return basis, f2.F2Matrix(n, n, frozenset(entries))
+
+
+def reference_naive_quasi_iso(F):
+    """Whether the cone of F's arity-zero part f0 is acyclic: the two
+    arity-zero complexes side by side, joined by
+    f0(b (x) x) = sum b.b' (x) y over F(x, []) = sum b' (x) y."""
+    A1 = F.source.left_algebra
+    basis_M, d_M = reference_arity_zero_complex(F.source)
+    basis_N, d_N = reference_arity_zero_complex(F.target)
+    n = len(basis_M)
+    pos_N = {bx: n + i for i, bx in enumerate(basis_N)}
+    f0: set = set()
+    for col, (b, x) in enumerate(basis_M):
+        for b2, y in F.entry(x, ()):
+            for t in A1.product(b, b2):
+                f0 ^= {(pos_N[(t, y)], col)}
+    size = n + len(basis_N)
+    cone = f2.F2Matrix(size, size, frozenset(
+        d_M.entries | {(r + n, c + n) for r, c in d_N.entries} | f0))
+    return f2.homology_dim(cone, cone) == 0
 
 
 # --- random morphisms ---------------------------------------------------------

@@ -5,9 +5,9 @@ from random import Random
 import pytest
 
 from strandcalc import f2
-from strandcalc.bimodules import (arity_zero_complex, check_structure,
-                                  compute_Dn, homology, identity_bimodule,
-                                  make_bimodule, sandwiched)
+from strandcalc.bimodules import (check_structure, compute_Dn, homology,
+                                  identity_bimodule, make_bimodule,
+                                  sandwiched)
 from strandcalc.boxes import box_bimodules
 from strandcalc.circles import torus_circle
 from strandcalc.errors import IdempotentMismatch, NotAComplex, UnknownSymbol
@@ -15,8 +15,9 @@ from strandcalc.morphisms import DAMorphism, compose, morphism_differential
 from strandcalc.strands import DGAlgebra, build_dga
 
 from helpers import (chained_coords, direct_Dn, random_chained_table,
-                     random_unchained_table, reference_structure,
-                     relation_by_morphism_complex, table_mult)
+                     random_unchained_table, reference_arity_zero_complex,
+                     reference_structure, relation_by_morphism_complex,
+                     table_mult)
 
 A = build_dga(torus_circle(), label="A")
 I = identity_bimodule(A, label="I")
@@ -286,9 +287,21 @@ class TestIdentityBimodule:
         assert I.arity_bound == 1
 
 
+def reference_homology(M):
+    _, boundary = reference_arity_zero_complex(M)
+    return f2.homology_dim(boundary, boundary)
+
+
+M2 = make_bimodule(A, A, [("u", I0, I0), ("v", I0, I0)],
+                   {(0, ()): [(I0, 1)]}, label="M2")
+FREE2 = make_bimodule(A, A, [("x", I0, I0), ("y", I1, I1)], {})
+
+
 class TestArityZeroComplex:
+    # the reference complex, built with its own product loop, that
+    # homology must reproduce
     def test_identity_complex_is_algebra_differential(self):
-        basis, boundary = arity_zero_complex(I)
+        basis, boundary = reference_arity_zero_complex(I)
         # the complex is (A, d) indexed by (element, its right idempotent)
         assert len(basis) == A.size
         for col, (b, x) in enumerate(basis):
@@ -298,31 +311,34 @@ class TestArityZeroComplex:
             assert got == expect
 
     def test_boundary_squares_to_zero(self):
-        _, boundary = arity_zero_complex(I)
+        _, boundary = reference_arity_zero_complex(I)
         assert not (boundary @ boundary)
 
     def test_zero_differential(self):
         M = make_bimodule(A, A, [("x", I0, I0)], {})
-        _, boundary = arity_zero_complex(M)
+        basis, boundary = reference_arity_zero_complex(M)
         assert not boundary
+        assert homology(M) == len(basis)
 
 
 class TestHomology:
     def test_identity_matches_algebra_homology(self):
         # d on A has rank 3 in the 16-dimensional torus algebra
-        _, boundary = arity_zero_complex(I)
-        assert homology(I) == f2.homology_dim(boundary, boundary) == 10
+        assert homology(I) == reference_homology(I) == 10
 
     def test_zero_boundary_gives_dimension(self):
-        M = make_bimodule(A, A, [("x", I0, I0), ("y", I1, I1)], {})
-        basis, _ = arity_zero_complex(M)
-        assert homology(M) == len(basis)
+        basis, _ = reference_arity_zero_complex(FREE2)
+        assert homology(FREE2) == len(basis) == reference_homology(FREE2)
+
+    @pytest.mark.parametrize("M, expect", [
+        (I, 10), (M2, 0), (box_bimodules(I, M2), 0),
+        (box_bimodules(M2, I), 0)], ids=["I", "M2", "I.M2", "M2.I"])
+    def test_matches_reference(self, M, expect):
+        assert homology(M) == reference_homology(M) == expect
 
     def test_two_generator_acyclic(self):
-        M = make_bimodule(A, A, [("u", I0, I0), ("v", I0, I0)],
-                          {(0, ()): [(I0, 1)]})
-        assert check_structure(M).passed
-        assert homology(M) == 0
+        assert check_structure(M2).passed
+        assert homology(M2) == 0
 
     def test_not_a_complex_propagates(self):
         # an undifferentiable table: d(u) = r0 x v with d(r0) != 0 makes

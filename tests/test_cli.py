@@ -160,6 +160,22 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "status: fail" in proc.stdout
 
+    def test_homology_of_a_non_complex_is_two(self, tmp_path):
+        # D1 u [] = r[1-4]r[2-3] : v with d(r[1-4]r[2-3]) != 0: the
+        # arity-zero boundary does not square to zero
+        doc = tmp_path / "notacomplex.bhf"
+        doc.write_text("PMC T GENUS 1 PAIRS (1 3) (2 4)\n"
+                       "ALGEBRA A FROM T\n"
+                       "BIMODULE B OVER A A {\n"
+                       "  GEN u L=h(1 3)h(2 4) R=h(1 3)h(2 4)\n"
+                       "  GEN v L=h(1 3)h(2 4) R=h(1 3)h(2 4)\n"
+                       "  D1 u [] = r[1-4]r[2-3] : v\n"
+                       "}\n")
+        proc = run("homology", "B", doc=str(doc))
+        assert proc.returncode == 2 and not proc.stdout
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: NotAComplex: ")
+
 
 class TestReports:
     def test_json_format_sorted(self):

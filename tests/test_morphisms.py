@@ -7,19 +7,21 @@ from random import Random
 import pytest
 
 from strandcalc import f2, morphisms
-from strandcalc.bimodules import identity_bimodule, make_bimodule
+from strandcalc.bimodules import (check_structure, identity_bimodule,
+                                  make_bimodule)
 from strandcalc.circles import torus_circle
 from strandcalc.document import parse_document
 from strandcalc.errors import BimoduleMismatch, IdempotentMismatch, NotClosed
 from strandcalc.morphisms import (DAMorphism, _candidate_unknowns, compose,
                                   identity_morphism, is_closed,
                                   is_homotopic, is_naive_quasi_iso,
-                                  make_morphism,
+                                  make_morphism, mapping_cone,
                                   morphism_differential, zero_morphism)
 from strandcalc.strands import build_dga
 
 from helpers import (chained_coords, random_chained_table,
-                     random_unchained_table, ref_solve, spy_solve)
+                     random_unchained_table, ref_solve,
+                     reference_naive_quasi_iso, spy_solve)
 
 TUTORIAL = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tutorial", "torus.bhf")
@@ -315,6 +317,60 @@ class TestNaiveQuasiIso:
                            {(0, ()): [(I0, 1)]})
         F = zero_morphism(I, M2)
         assert not is_naive_quasi_iso(F)
+
+
+M2 = make_bimodule(A, A, [("u", I0, I0), ("v", I0, I0)],
+                   {(0, ()): [(I0, 1)]}, label="M2")
+
+
+def naive_draws():
+    """TestNaiveQuasiIso's closed morphisms, drawn as it draws them."""
+    rng = Random(12)
+    yield ID + morphism_differential(random_chained_table(rng, I, I, 1, 5))
+    rng = Random(10)
+    for _ in range(20):
+        yield morphism_differential(random_chained_table(rng, I, I, 1, 6))
+    rng = Random(11)
+    for _ in range(5):
+        F = ID + morphism_differential(random_chained_table(rng, I, I, 1, 3))
+        G = ID + morphism_differential(random_chained_table(rng, I, I, 1, 3))
+        yield compose(G, F)
+    yield from (ID, ZERO, zero_morphism(I, M2))
+
+
+class TestMappingCone:
+    def test_generators_and_table(self):
+        F = identity_morphism(M2)
+        C = mapping_cone(F)
+        assert [g.name for g in C.gens] == ["M.u", "M.v", "N.u", "N.v"]
+        assert C.d1 == {(0, ()): frozenset({(I0, 1), (I0, 2)}),
+                        (1, ()): frozenset({(I0, 3)}),
+                        (2, ()): frozenset({(I0, 3)})}
+
+    def test_bimodule_exactly_when_closed(self):
+        rng = Random(7)
+        draws = []
+        for _ in range(60):
+            H = random_chained_table(rng, I, I, 2, 5)
+            dH = morphism_differential(H)
+            draws += [H, dH, ID + dH, ID + H]
+        draws += [zero_morphism(I, M2), zero_morphism(M2, I),
+                  identity_morphism(I), identity_morphism(M2)]
+        closed = 0
+        for F in draws:
+            C = mapping_cone(F)
+            assert len({g.name for g in C.gens}) == C.size
+            assert check_structure(C).passed == is_closed(F).closed
+            closed += is_closed(F).closed
+        assert 0 < closed < len(draws)
+
+    def test_naive_quasi_iso_matches_reference_cone(self):
+        outcomes = set()
+        for F in naive_draws():
+            outcome = is_naive_quasi_iso(F)
+            assert outcome == reference_naive_quasi_iso(F)
+            outcomes.add(outcome)
+        assert outcomes == {True, False}
 
 
 class TestLemmaOneShadow:
