@@ -39,12 +39,13 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from . import f2
-from .errors import IdempotentMismatch, UnknownSymbol
+from .errors import IdempotentMismatch, NotAComplex, UnknownSymbol
 from .strands import DGAlgebra, group_index, sorted_index
 
 # table value: frozenset of (A1 basis index, generator index)
 Span = frozenset
 Key = tuple[int, tuple[int, ...]]
+Coord = tuple[int, tuple[int, ...], tuple[int, int]]  # (x, seq, (b, y))
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,21 @@ class DATable:
         return sorted_index(((y, c), (x, seq))
                             for (x, seq), outs in self.table.items()
                             for c, y in outs)
+
+
+def toggle(parity: set, term) -> None:
+    """Add term to a GF(2) sum held as a set, or cancel it there."""
+    if term in parity:
+        parity.remove(term)
+    else:
+        parity.add(term)
+
+
+def table_of(coords: Iterable[Coord]) -> dict[Key, Span]:
+    """The frozen table of a GF(2) parity set of (x, seq, (b, y))
+    coordinates (no coordinate twice)."""
+    return {k: frozenset(v) for k, v in
+            group_index(((x, seq), out) for x, seq, out in coords).items()}
 
 
 class TypeDABimodule(DATable):
@@ -334,8 +350,7 @@ def check_structure(M: TypeDABimodule) -> StructureReport:
     for (x, seq), outs in M.table.items():
         for b, y in outs:
             toggle_image_except_before(M, M, x, seq, b, y, acc)
-    witness = first_entry(M, M, group_index(((x, seq), out)
-                                            for x, seq, out in acc))
+    witness = first_entry(M, M, table_of(acc))
     bound = 2 * M.arity_bound
     return StructureReport(M.label, witness is None, bound, True,
                            M.is_chained, _positions(M, bound), witness)
@@ -358,7 +373,8 @@ def homology(M: TypeDABimodule) -> int:
     Mor(P, M), P the entry-free bimodule with one generator p = iL(b) per
     idempotent of A1: d(b, y) = (db, y) + b.D_1(y, []).  Against M's
     input-free entries d keeps arity 0, so the sorted coordinates index
-    its rows and columns alike.  Raises NotAComplex unless d.d = 0."""
+    its rows and columns alike.  Raises NotAComplex unless d.d = 0,
+    naming M and the first coordinate b : y with d.d(b, y) != 0."""
     from .morphisms import _coord_image, coordinate_system
     A1, A2 = M.left_algebra, M.right_algebra
     P = TypeDABimodule(A1, A2, tuple(
@@ -373,4 +389,9 @@ def homology(M: TypeDABimodule) -> int:
                     for y in y_at.get(A1.right_idem[b], ()))
     d, _ = coordinate_system(coords, lambda e: (e,),
                              lambda u: _coord_image(P, M0, *u[:2], *u[2]))
-    return f2.homology_dim(d, d)
+    try:
+        return f2.homology_dim(d, d)
+    except NotAComplex:
+        _, _, (b, y) = coords[min(c for _, c in (d @ d).entries)]
+        raise NotAComplex(f"homology of {M.label}: d.d is nonzero at "
+                          f"{A1.name(b)} : {M.gens[y].name}") from None

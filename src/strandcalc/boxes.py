@@ -27,7 +27,8 @@ factors by object identity.
 
 from __future__ import annotations
 
-from .bimodules import DATable, Key, Span, TypeDABimodule, checked_gens
+from .bimodules import (Coord, DATable, Key, Span, TypeDABimodule,
+                        checked_gens, table_of, toggle)
 from .errors import MiddleAlgebraMismatch
 from .morphisms import DAMorphism, compose
 
@@ -79,16 +80,14 @@ def _box_table(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
             "algebra of the right factor")
     pos_t = {p: k for k, p in enumerate(_matched_pairs(N2, M2))}
     entry = T.table.get
-    table: dict[Key, set] = {}
+    acc: set[Coord] = set()
     for key, (i, j) in enumerate(_matched_pairs(N, M)):
         for y, seq, chain in states(j):
             for b, i2 in entry((i, chain), ()):
                 out = pos_t.get((i2, y))
-                if out is None:
-                    continue  # zero over the idempotent ground ring
-                bucket = table.setdefault((key, seq), set())
-                bucket ^= {(b, out)}
-    return {k: frozenset(v) for k, v in table.items()}
+                if out is not None:  # else zero over the idempotent ring
+                    toggle(acc, (key, seq, (b, out)))
+    return table_of(acc)
 
 
 def _box_left(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,

@@ -27,7 +27,7 @@ from . import clf as clfmod
 from . import document as docmod
 from .bimodules import check_structure, homology, named_entry
 from .errors import (DocumentError, IncompatibleCycle, StrandCalcError)
-from .morphisms import compose, is_closed, is_homotopic
+from .morphisms import DAMorphism, compose, is_closed, is_homotopic
 from .boxes import box_bimodules, box_morphisms
 from .strands import verify_dga
 
@@ -159,7 +159,6 @@ def _cmd_morphism(doc, args) -> CommandResult:
                 "(boxtensor ... -o NAME)")
         # rebase onto the declared bimodules so the emitted block uses
         # their generator names (the index tables agree)
-        from .morphisms import DAMorphism
         rebased = DAMorphism(doc.get(src, "bimodule"),
                              doc.get(tgt, "bimodule"), B.table)
         text = docmod.morphism_text(args.output, rebased, src, tgt)

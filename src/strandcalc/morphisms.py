@@ -38,11 +38,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from . import f2
-from .bimodules import (BimodGenerator, DATable, Key, Span, TypeDABimodule,
-                        checked_table, first_entry, homology)
+from .bimodules import (BimodGenerator, Coord, DATable, Key, Span,
+                        TypeDABimodule, checked_table, first_entry, homology,
+                        table_of, toggle)
 from .errors import BimoduleMismatch, NotClosed
-
-Coord = tuple[int, tuple[int, ...], tuple[int, int]]
 
 
 def same_shape(P: TypeDABimodule, Q: TypeDABimodule) -> bool:
@@ -115,14 +114,6 @@ def identity_morphism(M: TypeDABimodule) -> DAMorphism:
 
 # --- the differential ----------------------------------------------------
 
-def _toggle(parity: set, term) -> None:
-    """Add term to a GF(2) sum held as a set, or cancel it there."""
-    if term in parity:
-        parity.remove(term)
-    else:
-        parity.add(term)
-
-
 def toggle_image_except_before(M: TypeDABimodule, N: TypeDABimodule,
                                x: int, seq: tuple[int, ...], b: int, y: int,
                                acc: set) -> None:
@@ -131,20 +122,20 @@ def toggle_image_except_before(M: TypeDABimodule, N: TypeDABimodule,
     a product on the inputs."""
     A1, A2 = M.left_algebra, M.right_algebra
     for t in A1.d(b):
-        _toggle(acc, (x, seq, (t, y)))
+        toggle(acc, (x, seq, (t, y)))
     after = N.entries_by_source_term
-    for c, bc in A1.products_by_left.get(b, ()):
+    for c, bc in A1.row(b).items():
         for seq2, z in after.get((y, c), ()):
             for t in bc:
-                _toggle(acc, (x, seq + seq2, (t, z)))
+                toggle(acc, (x, seq + seq2, (t, z)))
     codiff = A2.codiff_index
     for k, u in enumerate(seq):
         for a in codiff.get(u, ()):
-            _toggle(acc, (x, seq[:k] + (a,) + seq[k + 1:], (b, y)))
+            toggle(acc, (x, seq[:k] + (a,) + seq[k + 1:], (b, y)))
     coprod = A2.coproduct_index
     for k, w in enumerate(seq):
         for u, v in coprod.get(w, ()):
-            _toggle(acc, (x, seq[:k] + (u, v) + seq[k + 1:], (b, y)))
+            toggle(acc, (x, seq[:k] + (u, v) + seq[k + 1:], (b, y)))
 
 
 def _coord_image(M: TypeDABimodule, N: TypeDABimodule,
@@ -158,20 +149,19 @@ def _coord_image(M: TypeDABimodule, N: TypeDABimodule,
     for c, cb in M.left_algebra.products_by_right.get(b, ()):
         for x0, seq0 in before.get((x, c), ()):
             for t in cb:
-                _toggle(acc, (x0, seq0 + seq, (t, y)))
+                toggle(acc, (x0, seq0 + seq, (t, y)))
     return acc
 
 
 def morphism_differential(H: DAMorphism) -> DAMorphism:
     """The morphism-complex differential of H (an unclosed table is fine)."""
     M, N = H.source, H.target
-    acc: dict[Key, set] = {}
+    acc: set[Coord] = set()
     for (x, seq), outs in H.table.items():
         for b, y in outs:
-            for (x2, seq2, out) in _coord_image(M, N, x, seq, b, y):
-                _toggle(acc.setdefault((x2, seq2), set()), out)
-    table = {k: frozenset(v) for k, v in acc.items() if v}
-    return DAMorphism(M, N, table, label=f"d({H.label})" if H.label else "")
+            acc ^= _coord_image(M, N, x, seq, b, y)
+    return DAMorphism(M, N, table_of(acc),
+                      label=f"d({H.label})" if H.label else "")
 
 
 @dataclass(frozen=True)
@@ -198,17 +188,15 @@ def compose(G: DAMorphism, F: DAMorphism) -> DAMorphism:
     if not same_shape(F.target, G.source):
         raise BimoduleMismatch("target of F differs from source of G")
     A1 = F.source.left_algebra
-    acc: dict[Key, set] = {}
+    acc: set[Coord] = set()
     g_entries = G.entries_by_generator
     for (x, seq1), outs1 in F.table.items():
         for b, y in outs1:
             for seq2, outs2 in g_entries.get(y, ()):
                 for c, z in outs2:
                     for t in A1.product(b, c):
-                        _toggle(acc.setdefault((x, seq1 + seq2), set()),
-                                (t, z))
-    table = {k: frozenset(v) for k, v in acc.items() if v}
-    return DAMorphism(F.source, G.target, table)
+                        toggle(acc, (x, seq1 + seq2, (t, z)))
+    return DAMorphism(F.source, G.target, table_of(acc))
 
 
 # --- homotopy search ------------------------------------------------------
@@ -345,11 +333,8 @@ def is_homotopic(F: DAMorphism, G: DAMorphism,
     if solution is None:
         return NotWithinCap(cap)
 
-    table: dict[Key, set] = {}
-    for col in solution.support:
-        x, seq, out = un_list[col]
-        _toggle(table.setdefault((x, seq), set()), out)
-    witness = DAMorphism(M, N, {k: frozenset(v) for k, v in table.items()})
+    witness = DAMorphism(M, N, table_of(un_list[col]
+                                        for col in solution.support))
     if morphism_differential(witness).table != rhs:
         raise AssertionError("homotopy witness failed bit-exact re-check")
     return HomotopyWitness(witness, cap)

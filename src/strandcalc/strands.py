@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from random import Random
-from typing import Callable
+from typing import Callable, Mapping
 
 from .circles import PointedMatchedCircle
 
@@ -323,15 +323,16 @@ class DGAlgebra:
     basis indices.  The algebra is taken to have orthogonal idempotents
     and b = left_idem[b] . b . right_idem[b] for every b, so that these
     indices are the idempotent facts bimodules.sandwiched reads.
-    Products come from the closure mult_fn, asked at most once per pair
-    and only when the right idempotent of the left factor is the left
-    idempotent of the right factor: product answers every other pair with
-    zero without asking it.  materialize stores every nonzero product
+    Products are stored a row at a time, one dict per left factor i
+    holding j -> i.j for the nonzero products only.  The closure row_fn
+    gives row i when first asked; of its answer only the nonzero values
+    on right factors j with left_idem[j] == right_idem[i] are kept, so
+    every other pair multiplies to zero.  materialize stores every row
     and drops the closure.
     """
 
     def __init__(self, basis_names, idempotents, left_idem, right_idem,
-                 diff, mult_fn: Callable[[int, int], frozenset],
+                 diff, row_fn: Callable[[int], Mapping[int, frozenset]],
                  label: str = ""):
         self.basis_names = tuple(basis_names)
         self.idempotents = tuple(idempotents)
@@ -339,8 +340,8 @@ class DGAlgebra:
         self.right_idem = tuple(right_idem)
         self.label = label
         self._diff = dict(diff)
-        self._mult: dict[tuple[int, int], frozenset] = {}
-        self._mult_fn = mult_fn
+        self._rows: dict[int, dict[int, frozenset]] = {}
+        self._row_fn = row_fn
         self._index = {n: i for i, n in enumerate(self.basis_names)}
         n = self.size
         if len(self.left_idem) != n or len(self.right_idem) != n:
@@ -370,15 +371,19 @@ class DGAlgebra:
     def d(self, i: int) -> frozenset:
         return self._diff.get(i, EMPTY)
 
-    def product(self, i: int, j: int) -> frozenset:
-        got = self._mult.get((i, j))
+    def row(self, i: int) -> dict[int, frozenset]:
+        """j -> i.j for every nonzero product with left factor i (the
+        stored dict, to be read only)."""
+        got = self._rows.get(i)
         if got is None:
-            if (self._mult_fn is None
-                    or self.right_idem[i] != self.left_idem[j]):
-                return EMPTY
-            got = self._mult_fn(i, j)
-            self._mult[(i, j)] = got
+            left, match = self.left_idem, self.right_idem[i]
+            got = self._rows[i] = {j: v for j, v in self._row_fn(i).items()
+                                   if v and left[j] == match}
         return got
+
+    def product(self, i: int, j: int) -> frozenset:
+        row = self._rows.get(i)
+        return (self.row(i) if row is None else row).get(j, EMPTY)
 
     def d_element(self, x: frozenset) -> frozenset:
         out: frozenset = frozenset()
@@ -396,32 +401,18 @@ class DGAlgebra:
     # -- derived indexes (used by the morphism complex) --
 
     def materialize(self) -> None:
-        """Compute the product of every idempotent-matched pair (the
-        products of all other pairs are zero and never stored), keep the
-        nonzero ones, then drop mult_fn, and with it whatever the closure
-        holds: every pair missing from the table now multiplies to zero."""
-        if self._mult_fn is None:
-            return
-        by_left: dict[int, list[int]] = {}
-        for j in range(self.size):
-            by_left.setdefault(self.left_idem[j], []).append(j)
+        """Store every row, then drop row_fn and with it whatever the
+        closure holds."""
         for i in range(self.size):
-            for j in by_left.get(self.right_idem[i], ()):
-                self.product(i, j)
-        self._mult = {k: v for k, v in self._mult.items() if v}
-        self._mult_fn = None
-
-    @cached_property
-    def products_by_left(self) -> dict[int, list[tuple[int, frozenset]]]:
-        """u -> (v, u.v) for every nonzero product (materializes products)."""
-        self.materialize()
-        return group_index((u, (v, w)) for (u, v), w in self._mult.items())
+            self.row(i)
+        self._row_fn = None
 
     @cached_property
     def products_by_right(self) -> dict[int, list[tuple[int, frozenset]]]:
         """v -> (u, u.v) for every nonzero product (materializes products)."""
         self.materialize()
-        return group_index((v, (u, w)) for (u, v), w in self._mult.items())
+        return group_index((v, (u, w)) for u, row in self._rows.items()
+                           for v, w in row.items())
 
     @cached_property
     def codiff_index(self) -> dict[int, tuple[int, ...]]:
@@ -432,9 +423,8 @@ class DGAlgebra:
     def _product_terms(self):
         """(u, v, w) for every w in a product u.v."""
         self.materialize()
-        for (u, v), terms in self._mult.items():
-            for w in terms:
-                yield u, v, w
+        return ((u, v, w) for u, row in self._rows.items()
+                for v, terms in row.items() for w in terms)
 
     @cached_property
     def coproduct_index(self) -> dict[int, tuple]:
@@ -460,13 +450,12 @@ def build_dga(c: PointedMatchedCircle, label: str = "") -> DGAlgebra:
     """Package the strand algebra of c as a DGAlgebra.
 
     The basis is enumerate_basis(c) and the differential table is filled
-    eagerly.  Products are computed a row at a time: the first product
-    asked with left factor a_i concatenates each expansion of a_i with
-    every expansion that starts at its target points, sums the results
-    per right factor and keeps each diagram all of whose expansions are
-    present; later products with that left factor read the row, which
-    materialize frees with the closure.  Expansions meet only when the
-    idempotents match.  The idempotents (diagrams without moving
+    eagerly.  Products are computed a row at a time: row_fn(i)
+    concatenates each expansion of a_i with every expansion that starts
+    at its target points, sums the results per right factor and keeps
+    each diagram all of whose expansions are present.  The algebra asks
+    it once per left factor and stores the row.  Expansions meet only
+    when the idempotents match.  The idempotents (diagrams without moving
     strands) are orthogonal and every diagram b equals
     source_idem(b) . b . target_idem(b), so products and differentials
     preserve idempotents and the algebra is idempotent-graded.
@@ -489,29 +478,26 @@ def build_dga(c: PointedMatchedCircle, label: str = "") -> DGAlgebra:
     starts = group_index((tuple(s for s, _ in q), (j, q))
                          for j, d in enumerate(basis) for q in expansions(d))
     owner = {q: j for meets in starts.values() for j, q in meets}
-    rows: dict[int, dict[int, frozenset]] = {}
 
-    def mult_fn(i: int, j: int) -> frozenset:
-        if i not in rows:  # a_i's row: a_i . a_k for every k it meets
-            acc: dict[int, frozenset] = {}
-            for p in expansions(basis[i]):
-                for k, q in starts.get(tuple(sorted(t for _, t in p)), ()):
-                    comp = _concat(p, q)
-                    if comp is not None:
-                        acc[k] = acc.get(k, EMPTY) ^ {comp}
-            row = {}
-            for k, prims in acc.items():
-                owned = group_index((owner.get(p), p) for p in prims)
-                if any(o is None or len(ps) != 1 << len(basis[o].horizontals)
-                       for o, ps in owned.items()):
-                    raise ArithmeticError("primitive sum does not regroup")
-                row[k] = frozenset(owned)
-            rows[i] = row
-        return rows[i].pop(j, EMPTY)
+    def row_fn(i: int) -> dict[int, frozenset]:
+        acc: dict[int, frozenset] = {}  # a_k -> the primitives of a_i . a_k
+        for p in expansions(basis[i]):
+            for k, q in starts.get(tuple(sorted(t for _, t in p)), ()):
+                comp = _concat(p, q)
+                if comp is not None:
+                    acc[k] = acc.get(k, EMPTY) ^ {comp}
+        row = {}
+        for k, prims in acc.items():
+            owned = group_index((owner.get(p), p) for p in prims)
+            if any(o is None or len(ps) != 1 << len(basis[o].horizontals)
+                   for o, ps in owned.items()):
+                raise ArithmeticError("primitive sum does not regroup")
+            row[k] = frozenset(owned)
+        return row
 
     idempotents = sorted(idem_index.values())
     return DGAlgebra(names, idempotents, left, right, diff,
-                     mult_fn=mult_fn, label=label or f"A(genus {c.genus})")
+                     row_fn=row_fn, label=label or f"A(genus {c.genus})")
 
 
 # --- verification ---------------------------------------------------------

@@ -31,9 +31,12 @@ from strandcalc.strands import (_concat, _regroup, expansions, source_idem,
 
 
 def table_mult(table):
-    """A DGAlgebra mult_fn reading a hand-written product table; absent
-    pairs multiply to zero."""
-    return lambda i, j: table.get((i, j), frozenset())
+    """A DGAlgebra row_fn reading a hand-written product table
+    {(i, j): i.j}; absent pairs multiply to zero."""
+    rows: dict = {}
+    for (i, j), value in table.items():
+        rows.setdefault(i, {})[j] = value
+    return lambda i: rows.get(i, {})
 
 
 # --- dense GF(2) oracle (numpy) -------------------------------------------

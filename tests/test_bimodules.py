@@ -81,13 +81,13 @@ def hand_written_algebras():
     return [
         DGAlgebra(("i", "x", "y"), (0,), (0, 0, 0), (0, 0, 0),
                   {1: frozenset((2,)), 2: frozenset((1,))},
-                  mult_fn=table_mult({
+                  row_fn=table_mult({
                       (0, 0): frozenset((0,)),
                       (0, 1): frozenset((1,)), (1, 0): frozenset((1,)),
                       (0, 2): frozenset((2,)), (2, 0): frozenset((2,))})),
         DGAlgebra(("i", "k", "x", "y"), (0, 1), (0, 1, 0, 1), (0, 1, 1, 0),
                   {2: frozenset((3,))},
-                  mult_fn=table_mult({
+                  row_fn=table_mult({
                       (0, 0): frozenset((0,)), (1, 1): frozenset((1,)),
                       (0, 2): frozenset((2,)), (2, 1): frozenset((2,)),
                       (1, 3): frozenset((3,)), (3, 0): frozenset((3,))})),
@@ -342,12 +342,14 @@ class TestHomology:
 
     def test_not_a_complex_propagates(self):
         # an undifferentiable table: d(u) = r0 x v with d(r0) != 0 makes
-        # the boundary fail to square to zero
+        # the boundary fail to square to zero, first at the coordinate
+        # h(1 3)h(2 4) : u, which the error names with the bimodule
         bad = A.index("r[1-4]r[2-3]")
         ib = A.index("h(1 3)h(2 4)")
         M = make_bimodule(A, A, [("u", ib, ib), ("v", ib, ib)],
-                          {(0, ()): [(bad, 1)]})
-        with pytest.raises(NotAComplex):
+                          {(0, ()): [(bad, 1)]}, label="W")
+        with pytest.raises(NotAComplex, match=r"^homology of W: d\.d is "
+                           r"nonzero at h\(1 3\)h\(2 4\) : u$"):
             homology(M)
 
 
@@ -363,7 +365,7 @@ class TestIdentityTracksAlgebraAxioms:
             left_idem=(0, 1, 0, 1),
             right_idem=(0, 1, 1, 0),
             diff={2: frozenset((3,))},
-            mult_fn=table_mult({
+            row_fn=table_mult({
                 (0, 0): frozenset((0,)), (1, 1): frozenset((1,)),
                 (0, 2): frozenset((2,)), (2, 1): frozenset((2,)),
                 (1, 3): frozenset((3,)), (3, 0): frozenset((3,))}),

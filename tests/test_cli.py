@@ -162,7 +162,8 @@ class TestExitCodes:
 
     def test_homology_of_a_non_complex_is_two(self, tmp_path):
         # D1 u [] = r[1-4]r[2-3] : v with d(r[1-4]r[2-3]) != 0: the
-        # arity-zero boundary does not square to zero
+        # arity-zero boundary does not square to zero, first at the
+        # coordinate h(1 3)h(2 4) : u, which the message names with B
         doc = tmp_path / "notacomplex.bhf"
         doc.write_text("PMC T GENUS 1 PAIRS (1 3) (2 4)\n"
                        "ALGEBRA A FROM T\n"
@@ -175,6 +176,7 @@ class TestExitCodes:
         assert proc.returncode == 2 and not proc.stdout
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: NotAComplex: ")
+        assert " B: " in line and line.endswith(" h(1 3)h(2 4) : u")
 
 
 class TestReports:

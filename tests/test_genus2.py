@@ -42,16 +42,22 @@ class TestReversedCircles:
 
 
 def test_materialize_counts_matched_pairs():
+    # materialize asks the closure once per left factor; the rows it is
+    # handed hold the 24256 matched pairs, 5815 of them nonzero
     asked = []
 
-    def mult_fn(i, j):
-        asked.append((i, j))
-        return A2.product(i, j)
+    def row_fn(i):
+        row = {j: A2.product(i, j) for j in range(A2.size)
+               if A2.left_idem[j] == A2.right_idem[i]}
+        asked.append((i, len(row)))
+        return row
 
     B = DGAlgebra(A2.basis_names, A2.idempotents, A2.left_idem,
-                  A2.right_idem, {}, mult_fn=mult_fn)
+                  A2.right_idem, {}, row_fn=row_fn)
     B.materialize()
-    assert len(asked) == len(set(asked)) == 24256
+    assert len(asked) == len(dict(asked)) == A2.size == 688
+    assert sum(k for _, k in asked) == 24256
+    assert sum(len(B.row(i)) for i in range(A2.size)) == 5815
     assert A2.size ** 2 == 473344
 
 
@@ -113,7 +119,7 @@ class TestGenus2Products:
         A = build_dga(c)
         assert matched_products_checked(c, A) == 68448
         A.materialize()
-        assert len(A._mult) == 8645
+        assert sum(len(A.row(i)) for i in range(A.size)) == 8645
 
     def test_unmatched_pairs_are_zero(self):
         n = A2.size
@@ -124,26 +130,27 @@ class TestGenus2Products:
                     assert A2.product(i, j) is EMPTY
 
     def test_cache_holds_matched_pairs_only(self):
-        # a closure-backed copy of A2, partly filled by a sampled verify
-        # (which stores zero products too): materialize asks the closure
-        # once per matched pair and then keeps only the nonzero products
+        # a closure-backed copy of A2, partly filled by a sampled verify:
+        # the closure is asked once per left factor in all, and the rows
+        # keep only the 5815 nonzero products
         asked = []
 
-        def mult_fn(i, j):
-            asked.append((i, j))
-            return A2.product(i, j)
+        def row_fn(i):
+            asked.append(i)
+            return A2.row(i)
 
         A = DGAlgebra(A2.basis_names, A2.idempotents, A2.left_idem,
                       A2.right_idem, {i: A2.d(i) for i in range(A2.size)},
-                      mult_fn=mult_fn)
+                      row_fn=row_fn)
         assert verify_dga(A, 10 ** 4).passed
         A.materialize()
-        assert len(asked) == len(set(asked)) == 24256
+        assert len(asked) == len(set(asked)) == 688
         n = A2.size
         nonzero = {(i, j): A2.product(i, j) for i in range(n)
                    for j in range(n) if A2.product(i, j)}
         assert len(nonzero) == 5815
-        assert A._mult == nonzero
+        assert {(i, j): v for i in range(n)
+                for j, v in A.row(i).items()} == nonzero
         for i in range(n):
             for j in range(n):
                 assert A.product(i, j) == A2.product(i, j)

@@ -134,6 +134,18 @@ class TestCompose:
                 random_chained_table(rng, I, I, 1, 4))
             assert is_closed(compose(G, F))
 
+    @pytest.mark.parametrize("draw", [random_chained_table,
+                                      random_unchained_table])
+    def test_leibniz_rule(self, draw):
+        # d(G o F) = dG o F + G o dF on closed and unclosed tables alike
+        rng = Random(9)
+        for _ in range(100):
+            F = draw(rng, I, I, 2, 5)
+            G = draw(rng, I, I, 2, 5)
+            assert morphism_differential(compose(G, F)) == (
+                compose(morphism_differential(G), F)
+                + compose(G, morphism_differential(F)))
+
     def test_mismatch_rejected(self):
         M = make_bimodule(A, A, [("x", I0, I0)], {})
         other = identity_morphism(M)

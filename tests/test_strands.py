@@ -158,23 +158,27 @@ class TestBuildDGA:
             verify_dga(build_dga(T), budget)
 
     def test_materialize_asks_only_matched_pairs(self):
-        # a closure-backed copy of the torus algebra: materialize asks for
-        # the idempotent-matched pairs only, and the factor indexes equal
-        # the ones read off all 16^2 products
+        # a closure-backed copy of the torus algebra whose rows also list
+        # every unmatched pair, as zero: materialize asks each left factor
+        # once, stores only the nonzero matched products, and the factor
+        # indexes equal the ones read off all 16^2 products
         A = build_dga(T)
+        n = A.size
         asked = []
 
-        def mult_fn(i, j):
-            asked.append((i, j))
-            return A.product(i, j)
+        def row_fn(i):
+            asked.append(i)
+            return {j: A.product(i, j) for j in range(n)}
 
         B = DGAlgebra(A.basis_names, A.idempotents, A.left_idem,
                       A.right_idem, {i: A.d(i) for i in range(A.size)},
-                      mult_fn=mult_fn)
+                      row_fn=row_fn)
         B.materialize()
-        n = A.size
-        assert sorted(asked) == [(i, j) for i in range(n) for j in range(n)
-                                 if A.right_idem[i] == A.left_idem[j]]
+        assert sorted(asked) == list(range(n))
+        for i in range(n):
+            assert B.row(i) == {j: A.product(i, j) for j in range(n)
+                                if A.product(i, j)}
+            assert all(A.right_idem[i] == A.left_idem[j] for j in B.row(i))
         coproduct, left, right = {}, {}, {}
         for u in range(n):
             for v in range(n):
@@ -188,55 +192,81 @@ class TestBuildDGA:
                                        for k, v in left.items()}
         assert B.right_factor_index == {k: tuple(sorted(v))
                                         for k, v in right.items()}
-        assert len(asked) == len(set(asked)) < n * n
+        assert len(asked) == n
 
     def test_unmatched_pair_never_asks_the_closure(self):
+        # a closure answering every pair with a nonzero value: the
+        # unmatched pairs still multiply to zero, and each left factor's
+        # row is asked once however many of its products are read
         A = build_dga(T)
+        n = A.size
         asked = []
 
-        def mult_fn(i, j):
-            asked.append((i, j))
-            return A.product(i, j)
+        def row_fn(i):
+            asked.append(i)
+            return {j: frozenset((j,)) for j in range(n)}
 
         B = DGAlgebra(A.basis_names, A.idempotents, A.left_idem,
-                      A.right_idem, {}, mult_fn=mult_fn)
-        n = A.size
+                      A.right_idem, {}, row_fn=row_fn)
         unmatched = [(i, j) for i in range(n) for j in range(n)
                      if A.right_idem[i] != A.left_idem[j]]
         assert unmatched
         for i, j in unmatched:
             assert B.product(i, j) == frozenset()
-        assert not asked and not B._mult
+            assert j not in B.row(i)
+        assert sorted(asked) == sorted({i for i, _ in unmatched})
+
+    def test_hand_written_row_keeps_matched_nonzero_only(self):
+        # i and k idempotents, x from i to k, y from k to i; row_fn makes
+        # the unmatched i.k nonzero and gives the matched x.y an empty
+        # value: neither is stored, and both read as zero
+        rows = {0: {0: frozenset((0,)), 2: frozenset((2,)),
+                    1: frozenset((1,))},
+                1: {1: frozenset((1,)), 3: frozenset((3,))},
+                2: {1: frozenset((2,)), 3: frozenset()},
+                3: {0: frozenset((3,))}}
+        B = DGAlgebra(("i", "k", "x", "y"), (0, 1), (0, 1, 0, 1),
+                      (0, 1, 1, 0), {}, row_fn=rows.__getitem__)
+        assert B.product(0, 1) == frozenset()
+        assert B.product(2, 3) == frozenset()
+        B.materialize()
+        assert [B.row(i) for i in range(4)] == [
+            {0: frozenset((0,)), 2: frozenset((2,))},
+            {1: frozenset((1,)), 3: frozenset((3,))},
+            {1: frozenset((2,))},
+            {0: frozenset((3,))}]
+        assert B.product(0, 1) == B.product(2, 3) == frozenset()
 
     def test_materialize_releases_the_closure(self):
-        # once every matched product is computed, the closure (and what it
-        # holds) is dropped, only the nonzero products stay stored, and
-        # every product reads as before
+        # once every row is computed, the closure (and what it holds) is
+        # dropped, only the nonzero products stay stored, and every
+        # product reads as before
         A = build_dga(T)
+        n = A.size
         asked = []
 
-        def mult_fn(i, j):
-            asked.append((i, j))
-            return A.product(i, j)
+        def row_fn(i):
+            asked.append(i)
+            return A.row(i)
 
         B = DGAlgebra(A.basis_names, A.idempotents, A.left_idem,
-                      A.right_idem, {}, mult_fn=mult_fn)
-        ref = weakref.ref(mult_fn)
-        del mult_fn
+                      A.right_idem, {}, row_fn=row_fn)
+        ref = weakref.ref(row_fn)
+        del row_fn
         B.materialize()
         gc.collect()
         assert ref() is None
-        n = A.size
+        assert sorted(asked) == list(range(n))
         matched = [(i, j) for i in range(n) for j in range(n)
                    if A.right_idem[i] == A.left_idem[j]]
-        assert sorted(asked) == matched
-        assert B._mult == {(i, j): A.product(i, j) for i, j in matched
-                           if A.product(i, j)}
-        assert len(B._mult) < len(matched)
+        stored = {(i, j): v for i in range(n) for j, v in B.row(i).items()}
+        assert stored == {(i, j): A.product(i, j) for i, j in matched
+                          if A.product(i, j)}
+        assert len(stored) < len(matched)
         for i in range(n):
             for j in range(n):
                 assert B.product(i, j) == A.product(i, j)
-        assert len(asked) == len(matched)
+        assert len(asked) == n
 
     def test_idempotents_of_products(self):
         A = build_dga(T)
@@ -257,7 +287,7 @@ class TestVerifyDGAFailures:
             left_idem=(0, 0, 0),
             right_idem=(0, 0, 0),
             diff={1: frozenset((2,)), 2: frozenset((1,))},
-            mult_fn=table_mult({
+            row_fn=table_mult({
                 (0, 0): frozenset((0,)),
                 (0, 1): frozenset((1,)), (1, 0): frozenset((1,)),
                 (0, 2): frozenset((2,)), (2, 0): frozenset((2,))}),
