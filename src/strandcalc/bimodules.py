@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
+from weakref import WeakKeyDictionary
 
 from . import f2
 from .errors import IdempotentMismatch, NotAComplex, UnknownSymbol
@@ -164,6 +165,24 @@ class TypeDABimodule(DATable):
                 and self.right_algebra.idem_graded
                 and all(self._entry_chained(k, v)
                         for k, v in self.table.items()))
+
+    @cached_property
+    def box_products(self) -> WeakKeyDictionary:
+        """M -> weak reference to the live box product self . M, kept by
+        boxes.box_bimodules."""
+        return WeakKeyDictionary()
+
+    @cached_property
+    def strictly_unital(self) -> bool:
+        """True when D1(x, [iR(x)]) = iL(x) (x) x for every generator x
+        and no other entry has an idempotent input.  Then I . id_M is
+        the identity of self . M for every M (boxes reads this)."""
+        unit = {(x, (g.right,)): frozenset(((g.left, x),))
+                for x, g in enumerate(self.gens)}
+        idems = set(self.right_algebra.idempotents)
+        return (all(self.table.get(k) == v for k, v in unit.items())
+                and all(k in unit or idems.isdisjoint(k[1])
+                        for k in self.table))
 
     def _entry_chained(self, key: Key, outs: Span) -> bool:
         A2 = self.right_algebra

@@ -20,17 +20,23 @@ Morphisms tensor one side at a time: F . I consumes the whole M-chain in
 a single application of F's table, and I . G routes the inputs through
 M-iterates, exactly one application of G, then M'-iterates, feeding the
 concatenated A2 chain into N's table once.  F . G is the composition
-(I . G) o (F . I), matching the 2-functor conventions used elsewhere.
-Each call builds each distinct box bimodule it needs once, matching
-factors by object identity.
+(I . G) o (F . I), matching the 2-functor conventions used elsewhere;
+when G is an identity and F's target strictly unital, I . G is an
+identity and F . G is F . I, one walk and no composition
+(Lipshitz-Ozsvath-Thurston, arXiv:1003.0598).
+box_bimodules matches factors by object identity and returns the
+product it built before from the same two objects while that product
+is still alive, so each live product is built once.
 """
 
 from __future__ import annotations
 
+from weakref import ref
+
 from .bimodules import (Coord, DATable, Key, Span, TypeDABimodule,
                         checked_gens, table_of, toggle)
 from .errors import MiddleAlgebraMismatch
-from .morphisms import DAMorphism, compose
+from .morphisms import DAMorphism, compose, identity_morphism
 
 
 def _matched_pairs(N: TypeDABimodule,
@@ -98,42 +104,48 @@ def _box_left(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
 
 
 def box_bimodules(N: TypeDABimodule, M: TypeDABimodule) -> TypeDABimodule:
-    """The box tensor product of bimodules (see module docstring)."""
-    table = _box_left(N, N, N, M)
-    gens = checked_gens(N.left_algebra, M.right_algebra, (
-        (f"{N.gens[i].name}|{M.gens[j].name}", N.gens[i].left,
-         M.gens[j].right) for i, j in _matched_pairs(N, M)))
-    return TypeDABimodule(N.left_algebra, M.right_algebra, gens, table,
-                          label=f"{N.label}.{M.label}")
+    """The box tensor product of bimodules (see module docstring): the
+    product already built from these two objects while it is alive.
+    N.box_products keeps it by weak reference under M as a weak key, so
+    the cache keeps none of the three alive."""
+    products = N.box_products
+    product = products.get(M, lambda: None)()
+    if product is None:
+        table = _box_left(N, N, N, M)
+        gens = checked_gens(N.left_algebra, M.right_algebra, (
+            (f"{N.gens[i].name}|{M.gens[j].name}", N.gens[i].left,
+             M.gens[j].right) for i, j in _matched_pairs(N, M)))
+        product = TypeDABimodule(N.left_algebra, M.right_algebra, gens,
+                                 table, label=f"{N.label}.{M.label}")
+        products[M] = ref(product)
+    return product
 
 
 def box_morphism_left(F: DAMorphism, M: TypeDABimodule) -> DAMorphism:
-    """F . I : (N . M) -> (N' . M) for F : N -> N'; builds N . M once
-    when N is N'."""
-    source = box_bimodules(F.source, M)
-    target = (source if F.target is F.source
-              else box_bimodules(F.target, M))
-    return DAMorphism(source, target, _box_left(F, F.source, F.target, M),
+    """F . I : (N . M) -> (N' . M) for F : N -> N'."""
+    return DAMorphism(box_bimodules(F.source, M), box_bimodules(F.target, M),
+                      _box_left(F, F.source, F.target, M),
                       label=f"{F.label}.id" if F.label else "")
 
 
 def box_morphism_right(N: TypeDABimodule, G: DAMorphism) -> DAMorphism:
-    """I . G : (N . M) -> (N . M') for G : M -> M'; builds N . M once
-    when M is M'."""
+    """I . G : (N . M) -> (N . M') for G : M -> M'."""
     table = _box_table(N, N, N, G.source, G.target, lambda j:
                        _morphism_chain_states(G, j, N.input_prefixes))
-    source = box_bimodules(N, G.source)
-    target = (source if G.target is G.source
-              else box_bimodules(N, G.target))
-    return DAMorphism(source, target, table,
-                      label=f"id.{G.label}" if G.label else "")
+    return DAMorphism(box_bimodules(N, G.source), box_bimodules(N, G.target),
+                      table, label=f"id.{G.label}" if G.label else "")
 
 
 def box_morphisms(F: DAMorphism, G: DAMorphism) -> DAMorphism:
-    """F . G = (I . G) o (F . I), building each distinct one of
-    F.source . G.source, F.target . G.source and F.target . G.target once."""
+    """F . G = (I . G) o (F . I) over F.source . G.source,
+    F.target . G.source and F.target . G.target.  When G is the identity
+    of M and F.target is strictly unital, I . G is the identity of
+    F.target . M and F . G is F . I (unlabelled, as a composite is)."""
+    if G.target is G.source and F.target.strictly_unital and \
+            G.table == identity_morphism(G.source).table:
+        left = box_morphism_left(F, G.source)
+        return DAMorphism(left.source, left.target, left.table)
     right = box_morphism_right(F.target, G)
-    source = (right.source if F.source is F.target
-              else box_bimodules(F.source, G.source))
-    return compose(right, DAMorphism(source, right.source, _box_left(
-        F, F.source, F.target, G.source)))
+    return compose(right, DAMorphism(
+        box_bimodules(F.source, G.source), right.source,
+        _box_left(F, F.source, F.target, G.source)))

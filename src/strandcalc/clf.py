@@ -559,7 +559,11 @@ class CLFAssignment:
     Twist value.  default_letter / default_crit serve as fallbacks, which
     keeps toy assignments (everything to one bimodule, all critical
     leaves to one morphism) small.  Box-chains are cached per reduced
-    word, so equal words evaluate to identical bimodule objects.
+    word, so equal words evaluate to identical bimodule objects; and
+    box_bimodules returns a product of two such objects again while it
+    is alive, so an evaluation builds each live box product once.  The
+    assignment holds its word chains only: every other box product lives
+    as long as the morphisms built on it.
     """
 
     def __init__(self, base_algebra, letters=None, crits=None,

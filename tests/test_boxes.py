@@ -1,5 +1,7 @@
 """Box tensor products of bimodules and morphisms."""
 
+import gc
+import weakref
 from random import Random
 
 import pytest
@@ -207,23 +209,26 @@ def retargeted(F, source, target):
     return DAMorphism(source, target, F.table, label=F.label)
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """The box products built from now on, each as the (N, M) labels of
+    its product N . M."""
+    seen = []
+    real = boxes.TypeDABimodule
+
+    def counted(*args, label):
+        seen.append(tuple(label.split(".")))
+        return real(*args, label=label)
+    monkeypatch.setattr(boxes, "TypeDABimodule", counted)
+    return seen
+
+
 class TestBoxBuilds:
     """Each distinct box bimodule is built once per call, matched by
     object identity; J and K are copies of I with the same shape."""
 
     J = identity_bimodule(A, label="J")
     K = identity_bimodule(A, label="K")
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        seen = []
-        real = boxes.box_bimodules
-
-        def counted(N, M, *args, **kwargs):
-            seen.append((N.label, M.label))
-            return real(N, M, *args, **kwargs)
-        monkeypatch.setattr(boxes, "box_bimodules", counted)
-        return seen
 
     def test_endomorphisms_build_one_box(self, calls):
         rng = Random(40)
@@ -273,6 +278,134 @@ class TestBoxBuilds:
         assert FG.table != identity_morphism(FG.source).table
         self.assert_identical(FG, compose(box_morphism_right(I2, G),
                                           box_morphism_left(F, I2)))
+
+
+def copy_of(P):
+    """A new object with P's algebras, generators, table and label."""
+    return TypeDABimodule(P.left_algebra, P.right_algebra, P.gens, P.table,
+                          label=P.label)
+
+
+class TestLiveProducts:
+    """box_bimodules returns the product it built from the same two
+    objects while that product is alive, and keeps none of the three
+    alive itself."""
+
+    @staticmethod
+    def assert_fresh(P, N, M):
+        """P equals a build from new objects equal to N and M."""
+        Q = box_bimodules(copy_of(N), copy_of(M))
+        assert P is not Q
+        assert [(g.name, g.left, g.right) for g in P.gens] == \
+            [(g.name, g.left, g.right) for g in Q.gens]
+        assert P.label == Q.label and P.d1 == Q.d1
+
+    def test_same_object_while_alive(self, calls):
+        J, M = copy_of(I), copy_of(M2)
+        JM = box_bimodules(J, M)
+        pairs = ((J, J), (J, M), (M, J), (JM, J), (J, JM))
+        products = [box_bimodules(N, M) for N, M in pairs]
+        assert products[1] is JM and len(calls) == len(pairs)
+        for (N, M), P in zip(pairs, products):
+            assert box_bimodules(N, M) is P
+            self.assert_fresh(P, N, M)
+        assert len(calls) == 2 * len(pairs)
+        assert box_bimodules(J, copy_of(J)) is not products[0]
+
+    def test_rebuilt_after_the_product_dies(self, calls):
+        N, M = copy_of(I), copy_of(M2)
+        P = box_bimodules(N, M)
+        dead = weakref.ref(P)
+        del P
+        gc.collect()
+        assert dead() is None
+        P = box_bimodules(N, M)
+        assert len(calls) == 2
+        self.assert_fresh(P, N, M)
+
+    def test_entry_goes_with_the_right_factor(self):
+        N, M = copy_of(I), copy_of(M2)
+        P = box_bimodules(N, M)
+        factor = weakref.ref(M)
+        assert len(N.box_products) == 1
+        del M
+        gc.collect()
+        assert factor() is None and P.size == 2
+        assert len(N.box_products) == 0
+
+    def test_cache_keeps_nothing_alive(self):
+        N, M = copy_of(I), copy_of(M2)
+        refs = [weakref.ref(X) for X in (N, M, box_bimodules(N, M))]
+        del N, M
+        gc.collect()
+        assert [r() for r in refs] == [None] * 3
+
+    def test_genus_two_products_equal_fresh_builds(self, calls):
+        A2 = build_dga(split_circle(2), label="A2")
+        I2 = identity_bimodule(A2, label="I2")
+        B = box_bimodules(I2, I2)
+        for N, M in ((I2, I2), (B, I2), (I2, B)):
+            P = box_bimodules(N, M)
+            assert box_bimodules(N, M) is P
+            self.assert_fresh(P, N, M)
+        assert len(calls) == 3 + 3
+
+
+class TestWhiskerIdentity:
+    """box_morphisms with an identity right factor equals the two-step
+    (I . G) o (F . I), whether or not it takes the one-walk whisker
+    (F.target strictly unital)."""
+
+    @staticmethod
+    def check(F, M):
+        G = identity_morphism(M)
+        FG = box_morphisms(F, G)
+        TestBoxBuilds.assert_identical(FG, compose(
+            box_morphism_right(F.target, G), box_morphism_left(F, M)))
+        return FG
+
+    def test_torus(self):
+        IM2 = box_bimodules(I, M2)
+        assert [P.strictly_unital for P in (I, M2, IM2)] == \
+            [True, False, False]
+        rng = Random(70)
+        for P in (I, M2, IM2):
+            for M in (I, M2, IM2):
+                for cap in (0, 1, 2):
+                    F = random_chained_table(rng, P, P, cap, 6)
+                    self.check(F, M)
+                    self.check(identity_morphism(P) + F, M)
+
+    def test_idempotent_in_a_longer_input(self):
+        # I plus D1(x, [iR(x), a]) = D1(x, [a]) is not strictly unital:
+        # I . id_I feeds it the chain [iR(x), a], so F . G is not F . I
+        a = next(a for a in range(A.size) if not A.is_idempotent(a))
+        x = next(x for x, g in enumerate(I.gens) if g.right == A.left_idem[a])
+        i = I.gens[x].right
+        P = TypeDABimodule(A, A, I.gens, {**I.d1, (x, (i, a)): I.entry(
+            x, (a,))}, label="P")
+        assert not P.strictly_unital
+        F = identity_morphism(P)
+        assert self.check(F, I).table != box_morphism_left(F, I).table
+
+    def test_genus_two(self):
+        A2 = build_dga(split_circle(2), label="A2")
+        I2 = identity_bimodule(A2, label="I2")
+        assert I2.strictly_unital
+        rng = Random(71)
+        F = identity_morphism(I2) + sampled_chained_table(rng, I2, I2, 1, 6)
+        FG = self.check(F, I2)
+        assert FG.table == box_morphism_left(F, I2).table
+        # I2 less D1 e [e] = e : e (the first sorted key) is not strictly
+        # unital: I . id_I2 misses e's pairs, so F . G is not F . I
+        drop = min(I2.d1)
+        K = TypeDABimodule(A2, A2, I2.gens, {
+            k: v for k, v in I2.d1.items() if k != drop}, label="K")
+        assert not K.strictly_unital
+        F = identity_morphism(K)
+        FG = self.check(F, I2)
+        assert (len(FG.table), len(box_morphism_left(F, I2).table)) == \
+            (15, 16)
 
 
 class TestPairingSanity:

@@ -4,7 +4,7 @@ import hashlib
 import tracemalloc
 from random import Random
 
-from strandcalc import clf
+from strandcalc import boxes, clf
 from strandcalc.bimodules import (check_structure, homology,
                                   identity_bimodule, make_bimodule,
                                   named_entry, sandwiched)
@@ -244,25 +244,58 @@ class TestGenus2Bimodules:
         assert peak < 10 ** 6
 
 
+def four_leaves():
+    """The four-critical-leaf tree and an assignment of every letter to a
+    new copy I of I2 and every critical leaf to ID + d(H), H(x, []) =
+    x's own idempotent at x = h(1 3)h(5 7)."""
+    I = identity_bimodule(A2, label="I2")
+    x = I.gen_index("h(1 3)h(5 7)")
+    H = make_morphism(I, I, {(x, ()): [(A2.index("h(1 3)h(5 7)"), x)]})
+    crit = identity_morphism(I) + morphism_differential(H)
+    expr = clf.parse_expression(
+        "H(H(V(CRIT(fl=a, fr=a, vc=e@z), "
+        "CRIT(fl=aT[e@z]a, fr=e, vc=e@z)), "
+        "CRIT(fl=b, fr=e, vc=e@y)), "
+        "V(H(ID(e), CRIT(fl=a, fr=b, vc=e@z)), ID(aT[e@z]b)))")
+    return expr, clf.CLFAssignment(A2, default_letter=I, default_crit=crit)
+
+
 class TestGenus2Evaluation:
     def test_four_critical_leaves_evaluate_closed(self):
-        # Every letter goes to I2 and every critical leaf to ID + d(H) with
-        # H(x, []) = x's own idempotent at x = h(1 3)h(5 7).  Boxing the
-        # evaluated pieces takes 366,743 chain steps for one generator
-        # pair: finite work, which box evaluation must finish.
-        x = I2.gen_index("h(1 3)h(5 7)")
-        H = make_morphism(I2, I2, {(x, ()): [(A2.index("h(1 3)h(5 7)"), x)]})
-        crit = identity_morphism(I2) + morphism_differential(H)
-        expr = clf.parse_expression(
-            "H(H(V(CRIT(fl=a, fr=a, vc=e@z), "
-            "CRIT(fl=aT[e@z]a, fr=e, vc=e@z)), "
-            "CRIT(fl=b, fr=e, vc=e@y)), "
-            "V(H(ID(e), CRIT(fl=a, fr=b, vc=e@z)), ID(aT[e@z]b)))")
-        assign = clf.CLFAssignment(A2, default_letter=I2, default_crit=crit)
-        F = clf.evaluate(expr, assign)
+        # boxing the evaluated pieces is finite work, which box
+        # evaluation must finish
+        F = clf.evaluate(*four_leaves())
         assert F.arity_bound == 4
         assert len(F.table) == 202
         assert is_closed(F)
+
+    def test_four_leaves_box_counts(self, monkeypatch):
+        # the tree and its normal form under one assignment, as a g2-clf
+        # bench operation evaluates them: 40 box products are asked for
+        # and 13 built (each live product once), and 4 of the 10
+        # box_morphisms calls have an identity right factor against a
+        # strictly unital I2-shaped target, so they are whiskered
+        # without box_morphism_right
+        counts = dict.fromkeys(["asked", "built", "boxed", "right"], 0)
+
+        def spy(module, name, key):
+            real = getattr(module, name)
+
+            def counted(*args):
+                counts[key] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        spy(boxes, "box_bimodules", "asked")
+        spy(clf, "box_bimodules", "asked")
+        spy(boxes, "checked_gens", "built")
+        spy(clf, "box_morphisms", "boxed")
+        spy(boxes, "box_morphism_right", "right")
+        expr, assign = four_leaves()
+        normal = clf.normalize_horizontal(expr)
+        assert clf.evaluate(expr, assign) == clf.evaluate(normal, assign)
+        assert counts == {"asked": 40, "built": 13, "boxed": 10,
+                          "right": 6}
 
 
 class TestGenus2Homotopy:
