@@ -56,32 +56,52 @@ class BimodGenerator:
     right: int  # idempotent basis index in A2
 
 
+class shared_index(cached_property):
+    """A cached_property of the table alone, computed once for every
+    DATable built on the same table object."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        shared = obj._indexes
+        if self.attrname not in shared:
+            shared[self.attrname] = self.func(obj)
+        obj.__dict__[self.attrname] = shared[self.attrname]
+        return shared[self.attrname]
+
+
 class DATable:
     """A finitely supported table (generator x, A2 sequence) -> sums of
-    (b, y): the shape shared by a bimodule's structure map and by a
-    morphism of bimodules.  Zero entries are dropped on construction."""
+    (b, y) from source to target: the shape shared by a bimodule's
+    structure map and by a morphism of bimodules.  Zero entries are
+    dropped on construction; a DATable given as the table is shared,
+    with its shared_index values."""
 
-    def __init__(self, table: Mapping[Key, Span], label: str = ""):
-        self.table = {k: v for k, v in table.items() if v}
+    def __init__(self, table: Mapping[Key, Span] | DATable, label: str = ""):
         self.label = label
+        if isinstance(table, DATable):
+            self.table, self._indexes = table.table, table._indexes
+            self.arity_bound = table.arity_bound
+            return
+        self.table, self._indexes = {k: v for k, v in table.items() if v}, {}
         self.arity_bound = max((len(seq) for _, seq in self.table), default=0)
 
     def entry(self, x: int, seq: tuple[int, ...]) -> Span:
         return self.table.get((x, seq), frozenset())
 
-    @cached_property
+    @shared_index
     def entries_by_sequence(self) -> dict[tuple[int, ...], tuple]:
         """seq -> (x, outputs) pairs; used by the morphism solver."""
         return sorted_index((seq, (x, outs))
                             for (x, seq), outs in self.table.items())
 
-    @cached_property
+    @shared_index
     def entries_by_generator(self) -> dict[int, tuple]:
         """x -> (seq, outputs) pairs."""
         return sorted_index((x, (seq, outs))
                             for (x, seq), outs in self.table.items())
 
-    @cached_property
+    @shared_index
     def input_prefixes(self) -> dict[tuple[int, ...], bool]:
         """Each prefix of an input sequence (the empty one too) -> whether
         it is proper: the chains a box tensor walk may feed this table."""
@@ -89,7 +109,7 @@ class DATable:
         proper = {seq[:k] for seq in seqs for k in range(len(seq))}
         return {**dict.fromkeys(seqs, False), **dict.fromkeys(proper, True)}
 
-    @cached_property
+    @shared_index
     def entries_by_source_term(self) -> dict[tuple[int, int], tuple]:
         """(x, algebra output c) -> (seq, y) pairs with c (x) y in the
         entry at (x, seq)."""
@@ -97,13 +117,43 @@ class DATable:
                             for (x, seq), outs in self.table.items()
                             for c, y in outs)
 
-    @cached_property
+    @shared_index
     def entries_by_target_term(self) -> dict[tuple[int, int], tuple]:
         """(y, algebra output c) -> (x, seq) pairs with c (x) y in the
         entry at (x, seq)."""
         return sorted_index(((y, c), (x, seq))
                             for (x, seq), outs in self.table.items()
                             for c, y in outs)
+
+    @cached_property
+    def is_chained(self) -> bool:
+        """True when the table only couples idempotent-chained data.
+
+        An entry ((x, a_1..a_k), (b, y)) is chained when the inputs
+        compose (right idempotent of x = source of a_1, target of a_i =
+        source of a_{i+1}) and the output generator continues the chain
+        (right idempotent of y = target of a_k, or of x when k = 0).
+        For a chained table over idempotent-graded algebras (d preserves
+        idempotents, and products do, as every b is iL(b) . b . iR(b))
+        every term of the structure relation and of the morphism
+        differential references only chained entries on chained
+        sequences, so the relation can be nonzero only on chained
+        sequences; check_structure counts just those positions in
+        `tested`.  The box tensor reads a chained table T as T . I(A).
+        """
+        source, target = self.source, self.target
+        A2 = source.right_algebra
+        if not (source.left_algebra.idem_graded and A2.idem_graded):
+            return False
+        for (x, seq), outs in self.table.items():
+            state = source.gens[x].right
+            for a in seq:
+                if A2.left_idem[a] != state:
+                    return False
+                state = A2.right_idem[a]
+            if any(target.gens[y].right != state for _, y in outs):
+                return False
+        return True
 
 
 def toggle(parity: set, term) -> None:
@@ -145,32 +195,24 @@ class TypeDABimodule(DATable):
     def gen_index(self, name: str) -> int:
         return self._gen_index[name]
 
-    @cached_property
-    def is_chained(self) -> bool:
-        """True when the table only couples idempotent-chained data.
-
-        An entry ((x, a_1..a_k), (b, y)) is chained when the inputs
-        compose (right idempotent of x = source of a_1, target of a_i =
-        source of a_{i+1}) and the output generator continues the chain
-        (right idempotent of y = target of a_k, or of x when k = 0).
-        For a chained table over idempotent-graded algebras (d preserves
-        idempotents, and products do, as every b is iL(b) . b . iR(b))
-        every term of the structure relation and of the morphism
-        differential references only chained entries on chained
-        sequences, so the relation can be nonzero only on chained
-        sequences; check_structure counts just those positions in
-        `tested`.
-        """
-        return (self.left_algebra.idem_graded
-                and self.right_algebra.idem_graded
-                and all(self._entry_chained(k, v)
-                        for k, v in self.table.items()))
+    # the structure table read as a table from self to itself
+    source = target = property(lambda self: self)
 
     @cached_property
     def box_products(self) -> WeakKeyDictionary:
         """M -> weak reference to the live box product self . M, kept by
         boxes.box_bimodules."""
         return WeakKeyDictionary()
+
+    @cached_property
+    def is_unit(self) -> bool:
+        """True when self is I(A) exactly: same_shape with
+        identity_bimodule(A), whose results are marked units (boxes reads
+        this)."""
+        from .morphisms import same_shape
+        A = self.left_algebra
+        return (A is self.right_algebra and self.size == len(A.idempotents)
+                and same_shape(self, identity_bimodule(A)))
 
     @cached_property
     def strictly_unital(self) -> bool:
@@ -183,16 +225,6 @@ class TypeDABimodule(DATable):
         return (all(self.table.get(k) == v for k, v in unit.items())
                 and all(k in unit or idems.isdisjoint(k[1])
                         for k in self.table))
-
-    def _entry_chained(self, key: Key, outs: Span) -> bool:
-        A2 = self.right_algebra
-        x, seq = key
-        state = self.gens[x].right
-        for a in seq:
-            if A2.left_idem[a] != state:
-                return False
-            state = A2.right_idem[a]
-        return all(self.gens[y].right == state for _, y in outs)
 
     def __repr__(self):
         tag = self.label or f"{self.size} generators"
@@ -383,8 +415,9 @@ def identity_bimodule(A: DGAlgebra, label: str = "") -> TypeDABimodule:
     idem_pos = {i: k for k, i in enumerate(A.idempotents)}
     d1 = {(idem_pos[A.left_idem[a]], (a,)): [(a, idem_pos[A.right_idem[a]])]
           for a in range(A.size)}
-    return make_bimodule(A, A, gens, d1,
-                         label=label or f"I({A.label or 'A'})")
+    unit = make_bimodule(A, A, gens, d1, label=label or f"I({A.label or 'A'})")
+    unit.is_unit = True
+    return unit
 
 
 def homology(M: TypeDABimodule) -> int:

@@ -561,9 +561,12 @@ class CLFAssignment:
     leaves to one morphism) small.  Box-chains are cached per reduced
     word, so equal words evaluate to identical bimodule objects; and
     box_bimodules returns a product of two such objects again while it
-    is alive, so an evaluation builds each live box product once.  The
-    assignment holds its word chains only: every other box product lives
-    as long as the morphisms built on it.
+    is alive, so an evaluation builds each live box product once.  A
+    letter assigned the identity bimodule costs no walk: its products
+    are read off the other factor by a unit law, and a chain of such
+    letters shares one table object.  The assignment holds its word
+    chains only: every other box product lives as long as the
+    morphisms built on it.
     """
 
     def __init__(self, base_algebra, letters=None, crits=None,

@@ -298,10 +298,10 @@ _BLOCK_KEYWORDS = {"BIMODULE", "MORPHISM", "ASSIGN"}
 
 # --- serialization -----------------------------------------------------------
 
-def _entry_lines(keyword: str, T: DATable, A1: DGAlgebra, A2: DGAlgebra,
-                 source_gens, target_gens) -> list[str]:
+def _entry_lines(keyword: str, T: DATable) -> list[str]:
     """The D1 or F lines of a table, in (generator, arity, inputs) order."""
-    lines = []
+    A1, A2 = T.source.left_algebra, T.source.right_algebra
+    source_gens, target_gens, lines = T.source.gens, T.target.gens, []
     for (x, seq), outs in sorted(T.table.items(),
                                  key=lambda kv: (kv[0][0], len(kv[0][1]),
                                                  kv[0][1])):
@@ -319,7 +319,7 @@ def bimodule_text(name: str, M: TypeDABimodule,
     lines = [f"BIMODULE {name} OVER {a1_name} {a2_name} {{"]
     for g in M.gens:
         lines.append(f"  GEN {g.name} L={A1.name(g.left)} R={A2.name(g.right)}")
-    lines += _entry_lines("D1", M, A1, A2, M.gens, M.gens)
+    lines += _entry_lines("D1", M)
     lines.append("}")
     return "\n".join(lines)
 
@@ -328,8 +328,6 @@ def morphism_text(name: str, F: DAMorphism,
                   m_name: str, n_name: str) -> str:
     """Emit a morphism in its declaration form (round-trips exactly)."""
     lines = [f"MORPHISM {name} FROM {m_name} TO {n_name} {{"]
-    lines += _entry_lines("F", F, F.source.left_algebra,
-                          F.source.right_algebra, F.source.gens,
-                          F.target.gens)
+    lines += _entry_lines("F", F)
     lines.append("}")
     return "\n".join(lines)

@@ -48,14 +48,16 @@ def same_shape(P: TypeDABimodule, Q: TypeDABimodule) -> bool:
     """Structural equality: same algebras, idempotents and index tables.
 
     Generator names are labels only; two bimodules with equal index data
-    are interchangeable everywhere.
+    are interchangeable everywhere.  Tables are compared by object
+    first, so a product read off a unit factor (see boxes) matches that
+    factor at once.
     """
     return P is Q or (P.left_algebra is Q.left_algebra
                       and P.right_algebra is Q.right_algebra
                       and len(P.gens) == len(Q.gens)
                       and all(p.left == q.left and p.right == q.right
                               for p, q in zip(P.gens, Q.gens))
-                      and P.d1 == Q.d1)
+                      and (P.table is Q.table or P.table == Q.table))
 
 
 class DAMorphism(DATable):

@@ -411,7 +411,12 @@ _COORD_CACHE: dict = {}
 
 def random_chained_table(rng: Random, M, N, cap: int,
                          density: int) -> DAMorphism:
-    key = (id(M), id(N), cap)
+    # chained_coords reads only the algebras and the generators'
+    # idempotents; an object's id could be reused by a later bimodule of
+    # another shape once the first is gone
+    key = (M.left_algebra, M.right_algebra, cap,
+           tuple((g.left, g.right) for g in M.gens),
+           tuple((g.left, g.right) for g in N.gens))
     if key not in _COORD_CACHE:
         _COORD_CACHE[key] = chained_coords(M, N, cap)
     coords = _COORD_CACHE[key]

@@ -2,11 +2,12 @@
 
 import gc
 import weakref
+from functools import lru_cache
 from random import Random
 
 import pytest
 
-from strandcalc import boxes
+from strandcalc import boxes, morphisms
 from strandcalc.bimodules import (TypeDABimodule, check_structure,
                                   checked_table, homology,
                                   identity_bimodule, make_bimodule)
@@ -20,9 +21,10 @@ from strandcalc.boxes import (box_bimodules, box_morphism_left,
                               box_morphism_right, box_morphisms)
 from strandcalc.strands import build_dga
 
-from helpers import (random_chained_table, sampled_chained_table,
-                     unpruned_box_left, unpruned_box_right,
-                     unpruned_chain_states, unpruned_morphism_chain_states)
+from helpers import (random_chained_table, random_unchained_table,
+                     sampled_chained_table, unpruned_box_left,
+                     unpruned_box_right, unpruned_chain_states,
+                     unpruned_morphism_chain_states)
 
 A = build_dga(torus_circle(), label="A")
 I = identity_bimodule(A, label="I")
@@ -202,6 +204,13 @@ class TestBoxMorphisms:
             rhs = compose(box_morphisms(F2, G2), box_morphisms(F, G))
             result = is_homotopic(lhs, rhs, 4)
             assert result
+
+
+def walk_right(N, G):
+    """The table of I . G by the walk that box_morphism_right makes when
+    N is not I(A)."""
+    return boxes._box_table(N, N, N, G.source, G.target, lambda j: (
+        boxes._morphism_chain_states(G, j, N.input_prefixes)))
 
 
 def retargeted(F, source, target):
@@ -425,8 +434,10 @@ class TestPairingSanity:
 
 class TestPrunedWalk:
     """The walks follow only prefixes of the fed table's input sequences;
-    every box table equals the one fed by the unpruned walk (every chain
-    up to the arity bound), key order included."""
+    every walked box table equals the one fed by the unpruned walk (every
+    chain up to the arity bound), key order included.  The public
+    functions walk unless a factor is a unit: then their tables equal the
+    oracle's as mappings, and a right-unit table is the factor's own."""
 
     @staticmethod
     def random_bimodule(rng, cap, label):
@@ -436,11 +447,14 @@ class TestPrunedWalk:
             rng, I, I, cap, 6).table, label=label)
 
     @staticmethod
-    def assert_same(box, reference):
-        """Equal to the oracle's table, key order included; and, though
-        built without make_bimodule's or make_morphism's screen, a table
-        that the screen returns unchanged, frozen values included."""
-        assert list(box.table.items()) == list(reference.items())
+    def assert_same(box, reference, ordered=True):
+        """Equal to the oracle's table, key order included when ordered;
+        and, though built without make_bimodule's or make_morphism's
+        screen, a table that the screen returns unchanged, frozen values
+        included."""
+        assert box.table == reference
+        if ordered:
+            assert list(box.table.items()) == list(reference.items())
         source, target = ((box, box) if isinstance(box, TypeDABimodule)
                           else (box.source, box.target))
         clean = checked_table(source.left_algebra, source.right_algebra,
@@ -449,20 +463,33 @@ class TestPrunedWalk:
         assert all(type(v) is frozenset for v in box.table.values())
 
     def check(self, F, G):
-        """Every box of F : N -> N2 and G : M -> M2 against the oracle."""
+        """Every box of F : N -> N2 and G : M -> M2 against the oracle:
+        the walks themselves, then the public functions."""
         N, N2, M, M2 = F.source, F.target, G.source, G.target
+        unit = N.is_unit or M.is_unit
         for P, Q in ((N, M), (N2, M), (N2, M2)):
-            self.assert_same(box_bimodules(P, Q),
-                             unpruned_box_left(P, P, P, Q))
+            reference = unpruned_box_left(P, P, P, Q)
+            PQ = box_bimodules(P, Q)
+            self.assert_same(DAMorphism(PQ, PQ, boxes._walk_left(P, Q)),
+                             reference)
+            self.assert_same(PQ, reference, ordered=not unit)
+            assert (PQ.table is P.table) == (Q.is_unit and P.is_chained)
         left = unpruned_box_left(F, N, N2, M)
         right = unpruned_box_right(N2, G)
-        self.assert_same(box_morphism_left(F, M), left)
-        self.assert_same(box_morphism_right(N2, G), right)
+        FM, N2G = box_morphism_left(F, M), box_morphism_right(N2, G)
+        self.assert_same(DAMorphism(FM.source, FM.target,
+                                    boxes._walk_left(F, M)), left)
+        self.assert_same(DAMorphism(N2G.source, N2G.target,
+                                    walk_right(N2, G)), right)
+        self.assert_same(FM, left, ordered=not unit)
+        self.assert_same(N2G, right, ordered=not unit)
+        assert (FM.table is F.table) == (M.is_unit and F.is_chained)
         NM, N2M = box_bimodules(N, M), box_bimodules(N2, M)
         reference = compose(
             DAMorphism(N2M, box_bimodules(N2, M2), right),
             DAMorphism(NM, N2M, left))
-        self.assert_same(box_morphisms(F, G), reference.table)
+        self.assert_same(box_morphisms(F, G), reference.table,
+                         ordered=not unit)
 
     @pytest.mark.parametrize("cap", [0, 1, 2, 3])
     def test_torus_morphisms_match_unpruned(self, cap):
@@ -515,3 +542,158 @@ class TestPrunedWalk:
                     k < len(seq)
         assert T.input_prefixes == expected
         assert zero_morphism(I, I).input_prefixes == {}
+
+
+@lru_cache(maxsize=None)
+def genus_two():
+    A2 = build_dga(split_circle(2), label="A2")
+    return A2, identity_bimodule(A2, label="I2")
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The walks made from now on: ("left", T) for each walked T . I and
+    ("right", G) for each walked I . G."""
+    seen = []
+    walk_left, states = boxes._walk_left, boxes._morphism_chain_states
+
+    def left(T, M):
+        seen.append(("left", T))
+        return walk_left(T, M)
+
+    def right(G, *args):  # called once per generator of I . G's source
+        if ("right", G) not in seen:
+            seen.append(("right", G))
+        return states(G, *args)
+    monkeypatch.setattr(boxes, "_walk_left", left)
+    monkeypatch.setattr(boxes, "_morphism_chain_states", right)
+    return seen
+
+
+class TestUnitLaws:
+    """N . I(A) and I(A) . M are read off the other factor, and equal the
+    unpruned walk as mappings, with the walk's names and labels; a factor
+    that is not exactly I(A), or an unchained left factor of I(A), takes
+    the walk."""
+
+    @staticmethod
+    def assert_product(P, N, M):
+        assert P.table == unpruned_box_left(N, N, N, M)
+        assert [(g.name, g.left, g.right) for g in P.gens] == [
+            (f"{N.gens[i].name}|{M.gens[j].name}", N.gens[i].left,
+             M.gens[j].right) for i, j in boxes._matched_pairs(N, M)]
+        assert P.label == f"{N.label}.{M.label}"
+
+    @staticmethod
+    def unscreened(I, table, label):
+        """I's generators with a table that make_bimodule might refuse."""
+        return TypeDABimodule(I.left_algebra, I.right_algebra, I.gens,
+                              table, label=label)
+
+    def check_bimodules(self, I, others, walks):
+        """Each N in others against the unit I from both sides."""
+        for N in others:
+            del walks[:]
+            right, left = box_bimodules(N, I), box_bimodules(I, N)
+            self.assert_product(right, N, I)
+            self.assert_product(left, I, N)
+            assert (right.table is N.table) == N.is_chained
+            assert walks == ([] if N.is_chained else [("left", N)])
+            assert right.is_unit == N.is_unit
+
+    def check_morphisms(self, I, tables, walks):
+        """F . I and I . F for each F in tables."""
+        for F in tables:
+            del walks[:]
+            FI, IF = box_morphism_left(F, I), box_morphism_right(I, F)
+            assert FI.table == unpruned_box_left(F, F.source, F.target, I)
+            assert IF.table == unpruned_box_right(I, F)
+            assert (FI.table is F.table) == F.is_chained
+            assert walks == ([] if F.is_chained else [("left", F)])
+            assert (FI.label, IF.label) == (f"{F.label}.id", f"id.{F.label}")
+
+    def test_torus(self, walks):
+        rng = Random(80)
+        chained = [TestPrunedWalk.random_bimodule(rng, cap, f"R{cap}")
+                   for cap in range(4)]
+        unchained = [self.unscreened(I, random_unchained_table(
+            rng, I, I, cap, 8).table, f"U{cap}") for cap in range(4)]
+        # outputs that are not sandwiched, which the walks read as zero
+        loose = self.unscreened(I, {(x, seq): frozenset(
+            (b, y) for b in range(A.size) for y in range(I.size))
+            for x in range(I.size) for seq in ((), (I0,))}, "L")
+        assert all(N.is_chained for N in chained)
+        assert not any(N.is_chained for N in unchained + [loose])
+        assert any(not seq for N in chained + unchained
+                   for _, seq in N.table)
+        self.check_bimodules(I, chained + unchained + [loose, M2, I], walks)
+        tables = [DAMorphism(P, P, random_chained_table(
+            rng, P, P, cap, 8).table, label="F")
+            for P in (I, M2) for cap in range(3)]
+        tables += [DAMorphism(P, P, random_unchained_table(
+            rng, P, P, 2, 8).table, label="U") for P in (I, M2)]
+        self.check_morphisms(I, tables, walks)
+
+    def test_genus_two(self, walks):
+        A2, I2 = genus_two()
+        rng = Random(81)
+        chained = [self.unscreened(I2, sampled_chained_table(
+            rng, I2, I2, cap, 12).table, f"R{cap}") for cap in (0, 1, 2)]
+        unchained = [self.unscreened(I2, random_unchained_table(
+            rng, I2, I2, 1, 12).table, "U")]
+        assert any(not seq for N in chained + unchained
+                   for _, seq in N.table)
+        self.check_bimodules(I2, chained + unchained + [I2], walks)
+        tables = [DAMorphism(I2, I2, (identity_morphism(I2)
+                                      + sampled_chained_table(
+                                          rng, I2, I2, cap, 12)).table,
+                             label="F") for cap in (0, 1, 2)]
+        tables.append(DAMorphism(I2, I2, random_unchained_table(
+            rng, I2, I2, 1, 12).table, label="U"))
+        self.check_morphisms(I2, tables, walks)
+
+    def test_near_identities_take_the_walk(self, walks):
+        # I2 less D1 e [e] = e : e, and I less one non-idempotent entry,
+        # are not I(A): boxing with them walks from both sides
+        A2, I2 = genus_two()
+        a = next(a for a in range(A.size) if not A.is_idempotent(a))
+        x = next(x for x, g in enumerate(I.gens) if g.left == A.left_idem[a])
+        rng = Random(82)
+        for unit, drop in ((I2, min(I2.d1)), (I, (x, (a,)))):
+            assert drop in unit.d1
+            K = self.unscreened(unit, {k: v for k, v in unit.d1.items()
+                                       if k != drop}, "K")
+            R = self.unscreened(unit, sampled_chained_table(
+                rng, unit, unit, 2, 8).table, "R")
+            assert unit.is_unit and not K.is_unit
+            assert R.is_chained
+            del walks[:]
+            RK, KR = box_bimodules(R, K), box_bimodules(K, R)
+            self.assert_product(RK, R, K)
+            self.assert_product(KR, K, R)
+            F, G = (DAMorphism(P, P, sampled_chained_table(
+                rng, P, P, 1, 8).table) for P in (R, K))
+            assert box_morphism_left(F, K).table == \
+                unpruned_box_left(F, R, R, K)
+            assert box_morphism_right(K, G).table == \
+                unpruned_box_right(K, G)
+            # I . G walks K . K too
+            assert walks == [("left", R), ("left", K), ("left", F),
+                             ("right", G), ("left", K)]
+
+    def test_recognised_once_per_object(self, monkeypatch):
+        # identity_bimodule's results are units as built; a copy of I is
+        # one by comparison, once; a product read off a unit by the right
+        # unit takes its verdict without comparing tables
+        compared = []
+        real = morphisms.same_shape
+        monkeypatch.setattr(morphisms, "same_shape",
+                            lambda P, Q: compared.append(P) or real(P, Q))
+        assert identity_bimodule(A).is_unit and compared == []
+        J = copy_of(I)
+        assert J.is_unit and J.table is not I.table and compared == [J]
+        JJ = box_bimodules(J, J)
+        assert JJ.table is J.table and compared == [J]
+        assert [JJ.__dict__[verdict] for verdict in (
+            "is_unit", "is_chained", "strictly_unital")] == [True] * 3
+        assert not copy_of(M2).is_unit

@@ -5,9 +5,9 @@ import tracemalloc
 from random import Random
 
 from strandcalc import boxes, clf
-from strandcalc.bimodules import (check_structure, homology,
-                                  identity_bimodule, make_bimodule,
-                                  named_entry, sandwiched)
+from strandcalc.bimodules import (TypeDABimodule, check_structure,
+                                  homology, identity_bimodule,
+                                  make_bimodule, named_entry, sandwiched)
 from strandcalc.circles import make_pmc, reverse, split_circle, torus_circle
 from strandcalc.morphisms import (HomotopyWitness, identity_morphism,
                                   is_closed, is_homotopic,
@@ -275,27 +275,41 @@ class TestGenus2Evaluation:
         # and 13 built (each live product once), and 4 of the 10
         # box_morphisms calls have an identity right factor against a
         # strictly unital I2-shaped target, so they are whiskered
-        # without box_morphism_right
-        counts = dict.fromkeys(["asked", "built", "boxed", "right"], 0)
-
-        def spy(module, name, key):
-            real = getattr(module, name)
-
-            def counted(*args):
-                counts[key] += 1
-                return real(*args)
-            monkeypatch.setattr(module, name, counted)
-
-        spy(boxes, "box_bimodules", "asked")
-        spy(clf, "box_bimodules", "asked")
-        spy(boxes, "checked_gens", "built")
-        spy(clf, "box_morphisms", "boxed")
-        spy(boxes, "box_morphism_right", "right")
+        # without box_morphism_right.  Every factor is I2 or a product
+        # read off it, so no product is walked: all 13 are read off by a
+        # unit law
+        counts = box_counts(monkeypatch.setattr)
         expr, assign = four_leaves()
         normal = clf.normalize_horizontal(expr)
         assert clf.evaluate(expr, assign) == clf.evaluate(normal, assign)
         assert counts == {"asked": 40, "built": 13, "boxed": 10,
-                          "right": 6}
+                          "right": 6, "walked": 0}
+
+
+def box_counts(patch) -> dict:
+    """Counts of box work from now on, by spies that patch(module, name,
+    spy) installs: box products asked for, built and walked (the rest
+    of those built are read off by a unit law), box_morphisms calls
+    from clf, and box_morphism_right calls."""
+    counts = dict.fromkeys(["asked", "built", "boxed", "right", "walked"],
+                           0)
+
+    def spy(module, name, key, counts_call=lambda *args: True):
+        real = getattr(module, name)
+
+        def counted(*args):
+            counts[key] += counts_call(*args)
+            return real(*args)
+        patch(module, name, counted)
+
+    spy(boxes, "box_bimodules", "asked")
+    spy(clf, "box_bimodules", "asked")
+    spy(boxes, "checked_gens", "built")
+    spy(clf, "box_morphisms", "boxed")
+    spy(boxes, "box_morphism_right", "right")
+    spy(boxes, "_walk_left", "walked",
+        lambda T, M: isinstance(T, TypeDABimodule))
+    return counts
 
 
 class TestGenus2Homotopy:

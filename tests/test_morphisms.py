@@ -7,8 +7,9 @@ from random import Random
 import pytest
 
 from strandcalc import f2, morphisms
-from strandcalc.bimodules import (check_structure, identity_bimodule,
-                                  make_bimodule)
+from strandcalc.bimodules import (TypeDABimodule, check_structure,
+                                  identity_bimodule, make_bimodule)
+from strandcalc.boxes import box_bimodules
 from strandcalc.circles import torus_circle
 from strandcalc.document import parse_document
 from strandcalc.errors import BimoduleMismatch, IdempotentMismatch, NotClosed
@@ -211,15 +212,25 @@ class TestIsHomotopic:
             is_homotopic(ID, G, -1)
 
 
+# two generators with an input-free entry, the box products read off it
+# by the unit laws, and a 22-entry table of arity 3 on I's generators
+M2 = make_bimodule(A, A, [("u", I0, I0), ("v", I0, I0)],
+                   {(0, ()): [(I0, 1)]}, label="M2")
+IM2, M2I = box_bimodules(I, M2), box_bimodules(M2, I)
+W = TypeDABimodule(A, A, I.gens, random_chained_table(
+    Random(7), I, I, 3, 22).table, label="W")
+
+
 @lru_cache(maxsize=None)
-def unrestricted_system(cap):
-    """Every chained coordinate of arity <= cap in sorted order, the rows
-    of the equations their images touch, and the (row, column) entries."""
-    columns = sorted(chained_coords(I, I, cap))
+def unrestricted_system(cap, M=I, N=I):
+    """Every chained coordinate M -> N of arity <= cap in sorted order,
+    the rows of the equations their images touch, and the (row, column)
+    entries."""
+    columns = sorted(chained_coords(M, N, cap))
     rows, entries = {}, set()
     for col, (x, seq, out) in enumerate(columns):
         image = morphism_differential(
-            DAMorphism(I, I, {(x, seq): frozenset((out,))})).table
+            DAMorphism(M, N, {(x, seq): frozenset((out,))})).table
         for (x2, seq2), outs in image.items():
             for out2 in outs:
                 entries.add((rows.setdefault((x2, seq2, out2), len(rows)),
@@ -274,15 +285,21 @@ class TestUnrestrictedOracle:
     @pytest.mark.parametrize("cap", [0, 1, 2])
     def test_candidates_cover_every_incidence(self, cap):
         # every unknown of arity <= cap is a candidate of every equation
-        # in its image
-        columns, rows, entries = unrestricted_system(cap)
-        equations = list(rows)
-        candidates = {}
-        for r, col in entries:
-            e = equations[r]
-            if e not in candidates:
-                candidates[e] = set(_candidate_unknowns(I, I, e, cap))
-            assert columns[col] in candidates[e]
+        # in its image, for I -> I and for tables with arity-0 entries
+        # (M2 and the box products read off it by the unit laws) and of
+        # arity 3 (W)
+        assert [len(W.table), W.arity_bound] == [22, 3]
+        assert any(not seq for P in (M2, W) for _, seq in P.table)
+        for M, N in ((I, I), (I, M2), (M2, I), (M2, M2), (IM2, IM2),
+                     (M2I, M2I), (W, W), (I, W), (W, I)):
+            columns, rows, entries = unrestricted_system(cap, M, N)
+            equations = list(rows)
+            candidates = {}
+            for r, col in entries:
+                e = equations[r]
+                if e not in candidates:
+                    candidates[e] = set(_candidate_unknowns(M, N, e, cap))
+                assert columns[col] in candidates[e]
 
 
 class TestNaiveQuasiIso:
@@ -329,10 +346,6 @@ class TestNaiveQuasiIso:
                            {(0, ()): [(I0, 1)]})
         F = zero_morphism(I, M2)
         assert not is_naive_quasi_iso(F)
-
-
-M2 = make_bimodule(A, A, [("u", I0, I0), ("v", I0, I0)],
-                   {(0, ()): [(I0, 1)]}, label="M2")
 
 
 def naive_draws():
