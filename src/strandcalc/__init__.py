@@ -6,8 +6,8 @@ fibrations."""
 from .circles import (PointedMatchedCircle, make_pmc, reverse, split_circle,
                       torus_circle, validate, validation_report)
 from .strands import (DGAlgebra, StrandDiagram, build_dga, diagram_name,
-                      differential, enumerate_basis, make_diagram, multiply,
-                      parse_diagram_name, verify_dga)
+                      enumerate_basis, make_diagram, parse_diagram_name,
+                      verify_dga)
 from .bimodules import (TypeDABimodule, check_structure, compute_Dn,
                         homology, identity_bimodule, make_bimodule)
 from .morphisms import (DAMorphism, HomotopyWitness, NotWithinCap, compose,
@@ -24,8 +24,7 @@ __all__ = [
     "PointedMatchedCircle", "make_pmc", "reverse", "split_circle",
     "torus_circle", "validate", "validation_report",
     "DGAlgebra", "StrandDiagram", "build_dga", "diagram_name",
-    "differential", "enumerate_basis", "make_diagram", "multiply",
-    "parse_diagram_name", "verify_dga",
+    "enumerate_basis", "make_diagram", "parse_diagram_name", "verify_dga",
     "TypeDABimodule", "check_structure", "compute_Dn", "homology",
     "identity_bimodule", "make_bimodule",
     "DAMorphism", "HomotopyWitness", "NotWithinCap", "compose",

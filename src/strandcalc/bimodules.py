@@ -407,15 +407,24 @@ def check_structure(M: TypeDABimodule) -> StructureReport:
                            M.is_chained, _positions(M, bound), witness)
 
 
+# A -> (gens, bare table) of I(A); neither refers to A, so A can be freed
+_UNIT_PARTS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def identity_bimodule(A: DGAlgebra, label: str = "") -> TypeDABimodule:
     """The bimodule of A over itself: one generator per elementary
     idempotent i, with D_1(i, [a]) = a (x) i' exactly when i.a.i' = a,
-    that is (see sandwiched) for i = iL(a) and i' = iR(a)."""
-    gens = [(A.name(i), i, i) for i in A.idempotents]
-    idem_pos = {i: k for k, i in enumerate(A.idempotents)}
-    d1 = {(idem_pos[A.left_idem[a]], (a,)): [(a, idem_pos[A.right_idem[a]])]
-          for a in range(A.size)}
-    unit = make_bimodule(A, A, gens, d1, label=label or f"I({A.label or 'A'})")
+    that is (see sandwiched) for i = iL(a) and i' = iR(a).  Its gens and
+    checked table are built once per algebra; every call wraps them."""
+    if A not in _UNIT_PARTS:
+        gens = checked_gens(A, A, [(A.name(i), i, i) for i in A.idempotents])
+        pos = {i: k for k, i in enumerate(A.idempotents)}
+        d1 = {(pos[A.left_idem[a]], (a,)): [(a, pos[A.right_idem[a]])]
+              for a in range(A.size)}
+        _UNIT_PARTS[A] = gens, DATable(checked_table(A, A, gens, gens, d1))
+    gens, table = _UNIT_PARTS[A]
+    unit = TypeDABimodule(A, A, gens, table,
+                          label=label or f"I({A.label or 'A'})")
     unit.is_unit = True
     return unit
 

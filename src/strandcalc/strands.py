@@ -10,8 +10,9 @@ target.
 
 Horizontal pairs are "smeared": a diagram with h horizontals stands for
 the sum of the 2^h primitive diagrams obtained by placing a constant
-strand at one point of each horizontal pair.  Products and differentials
-are computed on primitives and regrouped:
+strand at one point of each horizontal pair.  build_dga computes
+products and differentials on primitives and regroups them, in one
+place:
 
 * product: primitives concatenate when the target points of the left
   factor equal the source points of the right factor; a concatenation in
@@ -25,7 +26,8 @@ Crossings are counted in the primitive picture, where they are
 unambiguous; constant strands participate in crossings.  The full algebra
 (every number of occupied pairs) is taken.
 
-All diagrams are immutable; multiply and differential are pure.
+All diagrams are immutable.  The operations are read off build_dga's
+algebra A by basis index (A.index, A.name): A.product(i, j) and A.d(i).
 """
 
 from __future__ import annotations
@@ -165,64 +167,7 @@ def _resolutions(prim: Primitive) -> list[Primitive]:
     return out
 
 
-def _regroup(c: PointedMatchedCircle, prims: set[Primitive]) -> frozenset:
-    """Collect a mod-2 sum of primitives back into grouped diagrams.
-
-    Every constant strand must sit on a pair whose full orbit of expansion
-    siblings is present; the strand algebra is closed under its operations,
-    so failure here signals a bug rather than bad input.
-    """
-    pl = _pair_lookup(c)
-    work = set(prims)
-    out = []
-    while work:
-        prim = min(work)
-        movers = tuple(s for s in prim if s[0] != s[1])
-        consts = [s for s, t in prim if s == t]
-        horizontals = tuple(sorted(pl[p] for p in consts))
-        if len(set(horizontals)) != len(horizontals):
-            raise ArithmeticError("two constants on one matched pair")
-        diag = StrandDiagram(movers, horizontals)
-        members = set(expansions(diag))
-        if not members <= work:
-            raise ArithmeticError("primitive sum does not regroup")
-        work -= members
-        out.append(diag)
-    return frozenset(out)
-
-
-# --- algebra operations --------------------------------------------------
-
-def multiply(c: PointedMatchedCircle, a: StrandDiagram,
-             b: StrandDiagram) -> frozenset:
-    """Product of two diagrams as a GF(2) set of diagrams.
-
-    Zero (the empty set) when the target idempotent of a differs from the
-    source idempotent of b, and whenever no expansions meet and concatenate.
-    """
-    if target_idem(c, a) != source_idem(c, b):
-        return EMPTY
-    # an expansion of a meets only the expansion of b starting at its
-    # targets (no two expansions of b start at the same points)
-    starts = {tuple(s for s, _ in q): q for q in expansions(b)}
-    acc: set[Primitive] = set()
-    for p in expansions(a):
-        q = starts.get(tuple(sorted(t for _, t in p)))
-        if q is not None:
-            comp = _concat(p, q)
-            if comp is not None:
-                acc ^= {comp}
-    return _regroup(c, acc) if acc else EMPTY
-
-
-def differential(c: PointedMatchedCircle, a: StrandDiagram) -> frozenset:
-    """Sum of the admissible crossing resolutions of a."""
-    acc: set[Primitive] = set()
-    for p in expansions(a):
-        for res in _resolutions(p):
-            acc ^= {res}
-    return _regroup(c, acc)
-
+# --- the basis -----------------------------------------------------------
 
 def enumerate_basis(c: PointedMatchedCircle) -> tuple[StrandDiagram, ...]:
     """All basis diagrams over c, canonically ordered.
@@ -449,35 +394,48 @@ class DGAlgebra:
 def build_dga(c: PointedMatchedCircle, label: str = "") -> DGAlgebra:
     """Package the strand algebra of c as a DGAlgebra.
 
-    The basis is enumerate_basis(c) and the differential table is filled
-    eagerly.  Products are computed a row at a time: row_fn(i)
-    concatenates each expansion of a_i with every expansion that starts
-    at its target points, sums the results per right factor and keeps
-    each diagram all of whose expansions are present.  The algebra asks
-    it once per left factor and stores the row.  Expansions meet only
-    when the idempotents match.  The idempotents (diagrams without moving
-    strands) are orthogonal and every diagram b equals
+    The basis is enumerate_basis(c).  Both operations work on expansions
+    and regroup through one local regroup: a primitive's owner is the
+    basis diagram it expands, and a mod-2 sum regroups to the owners
+    present with all 2^h of their expansions.  d(a_i), filled eagerly,
+    regroups the admissible resolutions of the expansions of a_i.
+    row_fn(i) concatenates each expansion of a_i with every expansion
+    starting at its target points and regroups per right factor; the
+    algebra asks it once per left factor and stores the row.  Expansions
+    meet only when the idempotents match.  The idempotents (diagrams
+    without moving strands) are orthogonal and every diagram b equals
     source_idem(b) . b . target_idem(b), so products and differentials
     preserve idempotents and the algebra is idempotent-graded.
     """
     basis = enumerate_basis(c)
     names = [diagram_name(d) for d in basis]
-    index = {d: i for i, d in enumerate(basis)}
     idem_index = {}
     for i, d in enumerate(basis):
         if not d.strands:
             idem_index[frozenset(d.horizontals)] = i
     left = [idem_index[source_idem(c, d)] for d in basis]
     right = [idem_index[target_idem(c, d)] for d in basis]
-    diff = {}
-    for i, d in enumerate(basis):
-        terms = differential(c, d)
-        if terms:
-            diff[i] = frozenset(index[t] for t in terms)
-
     starts = group_index((tuple(s for s, _ in q), (j, q))
                          for j, d in enumerate(basis) for q in expansions(d))
     owner = {q: j for meets in starts.values() for j, q in meets}
+
+    def regroup(prims) -> frozenset:
+        """The basis elements whose expansions make up the mod-2 sum
+        prims; the algebra is closed, so a failure here is a bug."""
+        owned = group_index((owner.get(p), p) for p in prims)
+        if any(o is None or len(ps) != 1 << len(basis[o].horizontals)
+               for o, ps in owned.items()):
+            raise ArithmeticError("primitive sum does not regroup")
+        return frozenset(owned)
+
+    diff = {}
+    for i, d in enumerate(basis):
+        acc: set[Primitive] = set()
+        for p in expansions(d):
+            for res in _resolutions(p):
+                acc ^= {res}
+        if acc:
+            diff[i] = regroup(acc)
 
     def row_fn(i: int) -> dict[int, frozenset]:
         acc: dict[int, frozenset] = {}  # a_k -> the primitives of a_i . a_k
@@ -486,14 +444,7 @@ def build_dga(c: PointedMatchedCircle, label: str = "") -> DGAlgebra:
                 comp = _concat(p, q)
                 if comp is not None:
                     acc[k] = acc.get(k, EMPTY) ^ {comp}
-        row = {}
-        for k, prims in acc.items():
-            owned = group_index((owner.get(p), p) for p in prims)
-            if any(o is None or len(ps) != 1 << len(basis[o].horizontals)
-                   for o, ps in owned.items()):
-                raise ArithmeticError("primitive sum does not regroup")
-            row[k] = frozenset(owned)
-        return row
+        return {k: regroup(prims) for k, prims in acc.items()}
 
     idempotents = sorted(idem_index.values())
     return DGAlgebra(names, idempotents, left, right, diff,

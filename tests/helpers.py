@@ -3,15 +3,18 @@
 Everything here is written independently of the library internals it
 checks: the dense GF(2) oracle uses numpy row reduction, the diagram
 oracle enumerates raw endpoint subsets, the product reference tries
-every pair of expansions, the structure-map oracle evaluates the
-recursion as an explicit sum over ordered splittings, and the
-structure-relation reference evaluates the relation one input sequence
-at a time.  The box-tensor reference shares the library's table builder
-but walks every chain up to the fed table's arity bound.  The structure
-relation is also evaluated through the library's morphism complex, as
-d(D) + D o D, to hold check_structure's single pass to that formula.
-The arity-zero complex reference builds homology's complex, and the
-naive mapping cone, with their own product loops.
+every pair of expansions and the differential reference every crossing
+of every expansion, with their own concatenation, crossing count and
+regrouping (of the strand calculus they share only expansions with
+build_dga), the structure-map oracle evaluates the recursion as an
+explicit sum over ordered splittings, and the structure-relation
+reference evaluates the relation one input sequence at a time.  The
+box-tensor reference shares the library's table builder but walks every
+chain up to the fed table's arity bound.  The structure relation is also
+evaluated through the library's morphism complex, as d(D) + D o D, to
+hold check_structure's single pass to that formula.  The arity-zero
+complex reference builds homology's complex, and the naive mapping cone,
+with their own product loops.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from strandcalc.bimodules import (_positions, compute_Dn, first_entry,
                                   named_entry, sandwiched)
 from strandcalc.boxes import _box_table
 from strandcalc.morphisms import DAMorphism, compose, morphism_differential
-from strandcalc.strands import (_concat, _regroup, expansions, source_idem,
+from strandcalc.strands import (StrandDiagram, expansions, source_idem,
                                 target_idem)
 
 
@@ -210,10 +213,38 @@ def brute_force_diagrams(circle):
     return found
 
 
+def _crossed(u, v) -> bool:
+    """Whether two strands (start, end) cross: their ends come in the
+    opposite order to their starts."""
+    return (u[0] - v[0]) * (u[1] - v[1]) < 0
+
+
+def _crossings(prim) -> int:
+    return sum(_crossed(u, v) for u, v in itertools.combinations(prim, 2))
+
+
+def _ref_regroup(circle, prims):
+    """Group a mod-2 sum of primitives into diagrams: the moving strands
+    and the matched pairs of the constant ones name a diagram, which must
+    appear with every one of its expansions."""
+    pair_of = {x: p for p in circle.matching for x in p}
+    groups: dict = {}
+    for prim in prims:
+        diag = StrandDiagram(
+            tuple(s for s in prim if s[0] != s[1]),
+            tuple(sorted(pair_of[s] for s, t in prim if s == t)))
+        groups.setdefault(diag, set()).add(prim)
+    for diag, members in groups.items():
+        assert members == set(expansions(diag)), f"{diag} does not regroup"
+    return frozenset(groups)
+
+
 def ref_multiply(circle, a, b):
     """The product of two diagrams by the definition: every pair of
-    expansions, concatenated when they meet, summed mod 2 and regrouped.
-    Zero when the idempotents do not match."""
+    expansions that meet (the targets of one are the sources of the
+    other) joined strand by strand, dropped when two strands cross in
+    both halves, summed mod 2 and regrouped.  Zero when the idempotents
+    do not match."""
     if target_idem(circle, a) != source_idem(circle, b):
         return frozenset()
     acc = set()
@@ -221,10 +252,29 @@ def ref_multiply(circle, a, b):
         for q in expansions(b):
             if sorted(t for _, t in p) != sorted(s for s, _ in q):
                 continue
-            comp = _concat(p, q)
-            if comp is not None:
-                acc ^= {comp}
-    return _regroup(circle, acc)
+            follow = dict(q)
+            right = [(t, follow[t]) for _, t in p]
+            if any(_crossed(p[i], p[j]) and _crossed(right[i], right[j])
+                   for i, j in itertools.combinations(range(len(p)), 2)):
+                continue
+            acc ^= {tuple(sorted((s, follow[t]) for s, t in p))}
+    return _ref_regroup(circle, acc)
+
+
+def ref_differential(circle, a):
+    """The differential of a diagram by the definition: every crossing of
+    every expansion resolved by swapping the two ends, kept when it
+    lowers the crossing count by exactly one, summed mod 2 and
+    regrouped."""
+    acc = set()
+    for p in expansions(a):
+        for i, j in itertools.combinations(range(len(p)), 2):
+            if _crossed(p[i], p[j]):
+                res = list(p)
+                res[i], res[j] = (p[i][0], p[j][1]), (p[j][0], p[i][1])
+                if _crossings(res) == _crossings(p) - 1:
+                    acc ^= {tuple(sorted(res))}
+    return _ref_regroup(circle, acc)
 
 
 # --- structure map oracle ----------------------------------------------------

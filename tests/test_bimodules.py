@@ -1,5 +1,7 @@
 """Type DA bimodules: tables, structure maps, the structure relation."""
 
+import gc
+import weakref
 from random import Random
 
 import pytest
@@ -285,6 +287,19 @@ class TestIdentityBimodule:
 
     def test_arity_bound_one(self):
         assert I.arity_bound == 1
+
+    def test_built_once_per_algebra(self):
+        # every call wraps the same gens and table under its own label;
+        # the stored parts do not keep the algebra alive
+        J = identity_bimodule(A, label="J")
+        assert J is not I and J.label == "J" and J.is_unit
+        assert J.gens is I.gens and J.table is I.table
+        B = build_dga(torus_circle())
+        gone = weakref.ref(B)
+        assert identity_bimodule(B).table is not I.table
+        del B
+        gc.collect()
+        assert gone() is None
 
 
 def reference_homology(M):

@@ -8,11 +8,11 @@ import pytest
 
 from strandcalc.circles import make_pmc, reverse, split_circle, torus_circle
 from strandcalc.strands import (DGAlgebra, StrandDiagram, build_dga,
-                                diagram_name, differential, enumerate_basis,
-                                make_diagram, multiply, parse_diagram_name,
-                                verify_dga)
+                                diagram_name, enumerate_basis, make_diagram,
+                                parse_diagram_name, verify_dga)
 
-from helpers import brute_force_diagrams, ref_multiply, table_mult
+from helpers import (brute_force_diagrams, ref_differential, ref_multiply,
+                     table_mult)
 
 T = torus_circle()
 G2 = split_circle(2)
@@ -21,8 +21,17 @@ ASYM = make_pmc(2, [(1, 3), (2, 6), (4, 7), (5, 8)])
 OFF = reverse(ASYM)
 
 
-def d(name):
-    return parse_diagram_name(name)
+AT = build_dga(T)
+
+
+def product(a, b):
+    """a . b in build_dga(T), diagrams by name."""
+    return {AT.name(k) for k in AT.product(AT.index(a), AT.index(b))}
+
+
+def differential(a):
+    """d(a) in build_dga(T), diagrams by name."""
+    return {AT.name(k) for k in AT.d(AT.index(a))}
 
 
 class TestEnumeration:
@@ -88,48 +97,54 @@ class TestMakeDiagram:
 
 class TestMultiply:
     def test_idempotent_absorbs(self):
-        assert multiply(T, d("h(1 3)"), d("r[1-2]")) == {d("r[1-2]")}
+        assert product("h(1 3)", "r[1-2]") == {"r[1-2]"}
 
     def test_concatenation(self):
-        assert multiply(T, d("r[1-2]"), d("r[2-3]")) == {d("r[1-3]")}
+        assert product("r[1-2]", "r[2-3]") == {"r[1-3]"}
 
     def test_mismatched_expansion_is_zero(self):
         # target idempotents agree but no expansion matches
-        assert multiply(T, d("r[2-3]"), d("r[1-2]")) == frozenset()
+        assert product("r[2-3]", "r[1-2]") == set()
 
     def test_double_crossing_killed(self):
-        # (1->4, 2->3) then (3->4 with 4 free)? use the classic square:
-        # a = {1->3, 2->4}, b = {3->4 ...} needs full idempotents; instead
-        # check r[2-4]h(1 3) . r[1-2]? target idem mismatch gives zero
-        a = d("r[1-4]r[2-3]")
-        b = d("r[2-3]r[3-4]")
         # a ends on points {4, 3} = pairs both occupied; b starts on {2, 3}
-        assert multiply(T, a, b) == frozenset()
+        assert product("r[1-4]r[2-3]", "r[2-3]r[3-4]") == set()
 
     def test_matches_reference_on_every_torus_pair(self):
         basis = enumerate_basis(T)
-        for a in basis:
-            for b in basis:
-                assert multiply(T, a, b) == ref_multiply(T, a, b)
+        for i, a in enumerate(basis):
+            for j, b in enumerate(basis):
+                want = ref_multiply(T, a, b)
+                assert AT.product(i, j) == {AT.index(str(x)) for x in want}
 
     def test_smeared_product_with_horizontal(self):
         # h(2 4) expansion: only the constant at 2 concatenates with r[2-3]
-        assert multiply(T, d("h(2 4)"), d("r[2-3]")) == {d("r[2-3]")}
+        assert product("h(2 4)", "r[2-3]") == {"r[2-3]"}
 
 
 class TestDifferential:
     def test_crossing_resolution(self):
-        assert differential(T, d("r[1-4]r[2-3]")) == {d("r[1-3]r[2-4]")}
+        assert differential("r[1-4]r[2-3]") == {"r[1-3]r[2-4]"}
 
     def test_single_strand_no_crossing(self):
-        assert differential(T, d("r[1-4]")) == frozenset()
+        assert differential("r[1-4]") == set()
 
     def test_idempotents_closed(self):
-        assert differential(T, d("h(1 3)")) == frozenset()
+        assert differential("h(1 3)") == set()
 
     def test_horizontal_crossing_resolved(self):
         # the constant at 3 inside h(1 3) crosses the strand 2->4
-        assert differential(T, d("r[2-4]h(1 3)")) == {d("r[2-3]r[3-4]")}
+        assert differential("r[2-4]h(1 3)") == {"r[2-3]r[3-4]"}
+
+    @pytest.mark.parametrize("circle, terms", [
+        (T, 3), (G2, 392), (ASYM, 760), (OFF, 760)],
+        ids=["torus", "split-genus-2", "asym", "off"])
+    def test_matches_reference_on_every_element(self, circle, terms):
+        A = build_dga(circle)
+        for i, a in enumerate(enumerate_basis(circle)):
+            want = ref_differential(circle, a)
+            assert A.d(i) == {A.index(str(x)) for x in want}
+        assert sum(len(A.d(i)) for i in range(A.size)) == terms
 
 
 class TestBuildDGA:
