@@ -14,7 +14,8 @@ chain up to the fed table's arity bound.  The structure relation is also
 evaluated through the library's morphism complex, as d(D) + D o D, to
 hold check_structure's single pass to that formula.  The arity-zero
 complex reference builds homology's complex, and the naive mapping cone,
-with their own product loops.
+with their own product loops.  The DGA axiom reference evaluates both
+sides of Leibniz and associativity at every pair and triple.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from strandcalc.bimodules import (_positions, compute_Dn, first_entry,
                                   named_entry, sandwiched)
 from strandcalc.boxes import _box_table
 from strandcalc.morphisms import DAMorphism, compose, morphism_differential
-from strandcalc.strands import (StrandDiagram, expansions, source_idem,
-                                target_idem)
+from strandcalc.strands import (DGAlgebra, StrandDiagram, expansions,
+                                source_idem, target_idem)
 
 
 def table_mult(table):
@@ -275,6 +276,66 @@ def ref_differential(circle, a):
                 if _crossings(res) == _crossings(p) - 1:
                     acc ^= {tuple(sorted(res))}
     return _ref_regroup(circle, acc)
+
+
+# --- DGA axiom reference and planted errors ---------------------------------
+
+
+def ref_dga_failures(A):
+    """The failing (a, b) of Leibniz and (a, b, c) of associativity, by
+    name in sorted order, from both sides evaluated at every pair and
+    every triple of A's basis."""
+    n = A.size
+    prod = [[A.product(i, j) for j in range(n)] for i in range(n)]
+
+    def mul(x, y):
+        out = frozenset()
+        for i in x:
+            for j in y:
+                out ^= prod[i][j]
+        return out
+
+    leibniz = [(a, b) for a in range(n) for b in range(n)
+               if A.d_element(prod[a][b])
+               != mul(A.d(a), (b,)) ^ mul((a,), A.d(b))]
+    assoc = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)
+             if mul(prod[a][b], (c,)) != mul((a,), prod[b][c])]
+    return tuple(sorted(tuple(map(A.name, t)) for t in leibniz)), \
+        tuple(sorted(tuple(map(A.name, t)) for t in assoc))
+
+
+def product_flips(A):
+    """(i, j, w) for every stored term w of a product i.j, and for every
+    matched pair (i, j) the first basis element w outside i.j with i's
+    left and j's right idempotent, if there is one."""
+    compatible = {}
+    for t in range(A.size):
+        compatible.setdefault((A.left_idem[t], A.right_idem[t]), []).append(t)
+    for i in range(A.size):
+        for j in range(A.size):
+            if A.right_idem[i] != A.left_idem[j]:
+                continue
+            p = A.product(i, j)
+            yield from ((i, j, w) for w in sorted(p))
+            extra = [t for t in compatible[A.left_idem[i], A.right_idem[j]]
+                     if t not in p]
+            if extra:
+                yield i, j, extra[0]
+
+
+def flipped(A, product=None, d=None):
+    """A copy of A with the product term (i, j, w) and/or the
+    differential term (i, t) toggled."""
+    rows = {k: A.row(k) for k in range(A.size)}
+    diff = {k: A.d(k) for k in range(A.size)}
+    if product:
+        i, j, w = product
+        rows[i] = {**rows[i], j: rows[i].get(j, frozenset()) ^ {w}}
+    if d:
+        i, t = d
+        diff[i] ^= {t}
+    return DGAlgebra(A.basis_names, A.idempotents, A.left_idem,
+                     A.right_idem, diff, row_fn=rows.__getitem__)
 
 
 # --- structure map oracle ----------------------------------------------------

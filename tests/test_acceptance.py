@@ -82,7 +82,7 @@ def test_criterion_02_genus2_algebra():
           and elapsed < 300.0)
     report(2, ok,
            f"genus-2: d^2 exhaustive on {d2.tested}, Leibniz/assoc on "
-           f"{leibniz.tested}/{assoc.tested} samples, {elapsed:.1f}s < 300s")
+           f"{leibniz.tested}/{assoc.tested} tuples, {elapsed:.1f}s < 300s")
 
 
 def test_criterion_03_structure_check_and_mutations():

@@ -386,7 +386,8 @@ class TestIdentityTracksAlgebraAxioms:
                 (1, 3): frozenset((3,)), (3, 0): frozenset((3,))}),
         )
         algebra_report = verify_dga(B, 10 ** 4)
-        assert not algebra_report.check("leibniz").passed
+        assert algebra_report.check("leibniz").witnesses == (
+            ("i", "x"), ("k", "x"), ("x", "i"), ("x", "k"))
         J = identity_bimodule(B)
         assert not check_structure(J).passed
 

@@ -11,7 +11,8 @@ from strandcalc.strands import (DGAlgebra, StrandDiagram, build_dga,
                                 diagram_name, enumerate_basis, make_diagram,
                                 parse_diagram_name, verify_dga)
 
-from helpers import (brute_force_diagrams, ref_differential, ref_multiply,
+from helpers import (brute_force_diagrams, flipped, product_flips,
+                     ref_dga_failures, ref_differential, ref_multiply,
                      table_mult)
 
 T = torus_circle()
@@ -161,16 +162,24 @@ class TestBuildDGA:
             assert A.product_elements(unit, one) == one
             assert A.product_elements(one, unit) == one
 
-    def test_genus2_sampled(self):
+    def test_genus2_exhaustive(self):
         report = verify_dga(build_dga(G2), 10 ** 4)
         assert report.passed
-        assert report.check("d_squared").exhaustive
-        assert not report.check("leibniz").exhaustive
+        n = 688
+        assert [(c.name, c.exhaustive, c.tested, c.nontrivial)
+                for c in report.checks] == [
+            ("d_squared", True, n, 307), ("leibniz", True, n ** 2, 3335),
+            ("associativity", True, n ** 3, 28704),
+            ("idempotents", True, 1632, 1632)]
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_budget_below_one_rejected(self, budget):
         with pytest.raises(ValueError):
             verify_dga(build_dga(T), budget)
+
+    def test_budget_and_seed_are_read_by_no_check(self):
+        assert (verify_dga(AT, 1, seed=5).checks
+                == verify_dga(AT, 10 ** 6).checks)
 
     def test_materialize_asks_only_matched_pairs(self):
         # a closure-backed copy of the torus algebra whose rows also list
@@ -310,7 +319,59 @@ class TestVerifyDGAFailures:
         report = verify_dga(A, 10 ** 4)
         check = report.check("d_squared")
         assert not check.passed
-        assert ("x",) in check.witnesses
+        assert check.witnesses == (("x",), ("y",))
+        assert report.check("leibniz").passed
+        assert report.check("associativity").passed
+
+
+def support(name):
+    """The intervals [k, k + 1] a diagram's moving strands cover, with
+    multiplicity; products add supports and d preserves them."""
+    return Counter(k for s, t in parse_diagram_name(name).strands
+                   for k in range(s, t))
+
+
+class TestMutations:
+    """Planted errors in the torus algebra: every product flip of
+    helpers.product_flips and every differential position toggled.  For
+    each mutant verify_dga's failing pairs and triples equal the
+    reference's, which evaluates every pair and triple; a flip survives
+    exactly when the mutant is still a DGA."""
+
+    @staticmethod
+    def passes(B):
+        report = verify_dga(B)
+        assert (report.check("leibniz").witnesses,
+                report.check("associativity").witnesses) \
+            == ref_dga_failures(B)
+        return report.passed
+
+    def test_product_flips(self):
+        flips = list(product_flips(AT))
+        assert len(flips) == 113
+        survivors = [tuple(map(AT.name, flip)) for flip in flips
+                     if self.passes(flipped(AT, product=flip))]
+        # dropping r[2-4]h(1 3) . r[1-3]h(2 4) = r[1-3]r[2-4], a true
+        # product, leaves another DGA, which no axiom check can tell apart
+        a, b, w = "r[2-4]h(1 3)", "r[1-3]h(2 4)", "r[1-3]r[2-4]"
+        assert survivors == [(a, b, w)]
+        assert {str(x) for x in ref_multiply(T, parse_diagram_name(a),
+                                             parse_diagram_name(b))} == {w}
+
+    def test_differential_flips(self):
+        n = AT.size
+        survivors = [(AT.name(i), AT.name(t)) for i in range(n)
+                     for t in range(n) if self.passes(flipped(AT, d=(i, t)))]
+        # each survivor adds to d(a) a term of another support, which a
+        # true differential never does; verify_dga checks the DGA axioms,
+        # which these mutants satisfy, and not that grading
+        assert survivors == [
+            ("r[1-2]", "r[1-4]"), ("r[3-4]", "r[1-4]"),
+            ("r[1-3]h(2 4)", "r[1-3]r[2-4]"),
+            ("r[2-4]h(1 3)", "r[1-3]r[2-4]")]
+        for a, t in survivors:
+            assert AT.index(t) not in AT.d(AT.index(a))
+            assert support(a) != support(t)
 
 
 class TestNames:
