@@ -75,7 +75,13 @@ class DATable:
     (b, y) from source to target: the shape shared by a bimodule's
     structure map and by a morphism of bimodules.  Zero entries are
     dropped on construction; a DATable given as the table is shared,
-    with its shared_index values."""
+    with its shared_index values: entries_by_generator, input_prefixes,
+    and the morphism differential's two mu_2 joins (after, before) with
+    their inverses.  A join reads the left algebra, yet is an index of
+    the table alone: every table is read over one left algebra (DATables
+    sharing a table object share it).  A join holds ints and tuples only,
+    never the algebra, so identity_bimodule's per-algebra table does not
+    keep its algebra alive."""
 
     def __init__(self, table: Mapping[Key, Span] | DATable, label: str = ""):
         self.label = label
@@ -89,11 +95,10 @@ class DATable:
     def entry(self, x: int, seq: tuple[int, ...]) -> Span:
         return self.table.get((x, seq), frozenset())
 
-    @shared_index
-    def entries_by_sequence(self) -> dict[tuple[int, ...], tuple]:
-        """seq -> (x, outputs) pairs; used by the morphism solver."""
-        return sorted_index((seq, (x, outs))
-                            for (x, seq), outs in self.table.items())
+    def coords(self) -> Iterable[Coord]:
+        """Each (x, seq, (b, y)) with b (x) y in the entry at (x, seq)."""
+        return ((x, seq, out) for (x, seq), outs in self.table.items()
+                for out in outs)
 
     @shared_index
     def entries_by_generator(self) -> dict[int, tuple]:
@@ -110,20 +115,40 @@ class DATable:
         return {**dict.fromkeys(seqs, False), **dict.fromkeys(proper, True)}
 
     @shared_index
-    def entries_by_source_term(self) -> dict[tuple[int, int], tuple]:
-        """(x, algebra output c) -> (seq, y) pairs with c (x) y in the
-        entry at (x, seq)."""
-        return sorted_index(((x, c), (seq, y))
-                            for (x, seq), outs in self.table.items()
-                            for c, y in outs)
+    def after(self) -> dict[tuple[int, int], tuple]:
+        """(b, y) -> (s, t, z) for each entry c (x) z at (y, s) and each
+        t in b.c: mu_2< H then D1_N > with this table as N."""
+        A1 = self.source.left_algebra
+        by_output = group_index((c, (y, s, z)) for (y, s), outs
+                                in self.table.items() for c, z in outs)
+        if not by_output:
+            return {}
+        return sorted_index(((b, y), (s, t, z)) for b in range(A1.size)
+                            for c, bc in A1.row(b).items()
+                            for y, s, z in by_output.get(c, ())
+                            for t in bc)
 
     @shared_index
-    def entries_by_target_term(self) -> dict[tuple[int, int], tuple]:
-        """(y, algebra output c) -> (x, seq) pairs with c (x) y in the
-        entry at (x, seq)."""
-        return sorted_index(((y, c), (x, seq))
-                            for (x, seq), outs in self.table.items()
-                            for c, y in outs)
+    def before(self) -> dict[tuple[int, int], tuple]:
+        """(x, b) -> (x0, s, t) for each entry c (x) x at (x0, s) and each
+        t in c.b: mu_2< D1_M then H > with this table as M."""
+        A1 = self.source.left_algebra
+        return sorted_index(((x, b), (x0, s, t))
+                            for (x0, s), outs in self.table.items()
+                            for c, x in outs
+                            for b, cb in A1.row(c).items() for t in cb)
+
+    @shared_index
+    def after_inverse(self) -> dict[tuple, tuple]:
+        """(s, t, z) -> (b, y): the transpose of after."""
+        return sorted_index((term, by) for by, terms in self.after.items()
+                            for term in terms)
+
+    @shared_index
+    def before_inverse(self) -> dict[tuple, tuple]:
+        """(x0, s, t) -> (x, b): the transpose of before."""
+        return sorted_index((term, xb) for xb, terms in self.before.items()
+                            for term in terms)
 
     @cached_property
     def is_chained(self) -> bool:
@@ -396,11 +421,8 @@ def check_structure(M: TypeDABimodule) -> StructureReport:
     positions of arity <= 2K where the relation can be nonzero (see the
     module docstring), only the chained ones for a chained table.
     """
-    from .morphisms import toggle_image_except_before
-    acc: set = set()
-    for (x, seq), outs in M.table.items():
-        for b, y in outs:
-            toggle_image_except_before(M, M, x, seq, b, y, acc)
+    from .morphisms import toggle_images
+    acc = toggle_images(M, M, M.coords(), before=False)
     witness = first_entry(M, M, table_of(acc))
     bound = 2 * M.arity_bound
     return StructureReport(M.label, witness is None, bound, True,
@@ -436,7 +458,7 @@ def homology(M: TypeDABimodule) -> int:
     input-free entries d keeps arity 0, so the sorted coordinates index
     its rows and columns alike.  Raises NotAComplex unless d.d = 0,
     naming M and the first coordinate b : y with d.d(b, y) != 0."""
-    from .morphisms import _coord_image, coordinate_system
+    from .morphisms import coordinate_system, toggle_images
     A1, A2 = M.left_algebra, M.right_algebra
     P = TypeDABimodule(A1, A2, tuple(
         BimodGenerator(A1.name(i), i, A2.idempotents[0])
@@ -449,7 +471,7 @@ def homology(M: TypeDABimodule) -> int:
                     for b in range(A1.size)
                     for y in y_at.get(A1.right_idem[b], ()))
     d, _ = coordinate_system(coords, lambda e: (e,),
-                             lambda u: _coord_image(P, M0, *u[:2], *u[2]))
+                             lambda u: toggle_images(P, M0, (u,)))
     try:
         return f2.homology_dim(d, d)
     except NotAComplex:

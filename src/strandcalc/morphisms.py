@@ -10,7 +10,7 @@ left-idempotent compatibility as a structure table.  Unclosed tables are
 legal values: they serve as homotopies.
 
 With A1 an honest DGA the differential of the morphism complex collapses
-to four kinds of terms:
+to five kinds of terms:
 
     (dH)(x, a)  =  (d_A1 x I) H(x, a)
                 + sum over splittings a = a1 a2 of  mu_2< H(x, a1) then D1_N(., a2) >
@@ -22,6 +22,18 @@ where < b (x) y then Phi > applies Phi to y and the remaining inputs and
 multiplies the A1 outputs in order, and empty chunks are included in all
 splittings.  dH is supported in arity <= L + K + 1 for H of arity <= L
 over bimodules of arity bound <= K, so closedness is decidable.
+
+toggle_images reads each kind forwards (the terms of d of a coordinate)
+and _candidate_unknowns backwards (the coordinates whose d can reach an
+equation), from one pair of indexes; N.after and M.before are the
+tables' two mu_2 joins (see bimodules):
+
+    kind           forwards                  backwards
+    d on b         A1.d                      A1.codiff_index
+    H then D1_N    N.after                   N.after_inverse
+    D1_M then H    M.before                  M.before_inverse
+    d on input     A2.codiff_index           A2.d
+    product        A2.coproduct_index        A2.product
 
 Homotopy search is capped: is_homotopic(F, G, cap) decides exactly
 whether some H of arity <= cap solves dH = F + G.  The linear system is
@@ -116,53 +128,40 @@ def identity_morphism(M: TypeDABimodule) -> DAMorphism:
 
 # --- the differential ----------------------------------------------------
 
-def toggle_image_except_before(M: TypeDABimodule, N: TypeDABimodule,
-                               x: int, seq: tuple[int, ...], b: int, y: int,
-                               acc: set) -> None:
-    """Toggle into acc the terms of d of the coordinate (x, seq) -> (b, y)
-    other than mu_2< D1_M then H >: d on b, mu_2< H then D1_N >, and d or
-    a product on the inputs."""
-    A1, A2 = M.left_algebra, M.right_algebra
-    for t in A1.d(b):
-        toggle(acc, (x, seq, (t, y)))
-    after = N.entries_by_source_term
-    for c, bc in A1.row(b).items():
-        for seq2, z in after.get((y, c), ()):
-            for t in bc:
-                toggle(acc, (x, seq + seq2, (t, z)))
-    codiff = A2.codiff_index
-    for k, u in enumerate(seq):
-        for a in codiff.get(u, ()):
-            toggle(acc, (x, seq[:k] + (a,) + seq[k + 1:], (b, y)))
-    coprod = A2.coproduct_index
-    for k, w in enumerate(seq):
-        for u, v in coprod.get(w, ()):
-            toggle(acc, (x, seq[:k] + (u, v) + seq[k + 1:], (b, y)))
-
-
-def _coord_image(M: TypeDABimodule, N: TypeDABimodule,
-                 x: int, seq: tuple[int, ...], b: int, y: int) -> set:
-    """d of the single-coordinate table (x, seq) -> (b, y), as a parity
-    set of (x', seq', (t, z)) coordinates.  The two mu_2 terms run over
-    the nonzero products b.c and c.b only."""
+def toggle_images(M: TypeDABimodule, N: TypeDABimodule,
+                  coords: Iterable[Coord], before: bool = True) -> set:
+    """Every term of d of each coordinate (x, seq, (b, y)) of a table from
+    M to N, toggled into one parity set: d on b, the joins N.after and
+    (unless before is false) M.before, and d or a product on the inputs.
+    Given one coordinate, this is its image."""
     acc: set[Coord] = set()
-    toggle_image_except_before(M, N, x, seq, b, y, acc)
-    before = M.entries_by_target_term
-    for c, cb in M.left_algebra.products_by_right.get(b, ()):
-        for x0, seq0 in before.get((x, c), ()):
-            for t in cb:
-                toggle(acc, (x0, seq0 + seq, (t, y)))
+    d_out, after = M.left_algebra.d, N.after
+    joined = M.before if before else {}
+    codiff = M.right_algebra.codiff_index
+    coprod = M.right_algebra.coproduct_index
+    for x, seq, out in coords:
+        b, y = out
+        terms = [(x, seq, (t, y)) for t in d_out(b)]
+        terms += [(x, seq + s, (t, z)) for s, t, z in after.get(out, ())]
+        terms += [(x0, s + seq, (t, y))
+                  for x0, s, t in joined.get((x, b), ())]
+        for k, u in enumerate(seq):
+            head, tail = seq[:k], seq[k + 1:]
+            terms += [(x, head + (a,) + tail, out)
+                      for a in codiff.get(u, ())]
+            terms += [(x, head + uv + tail, out) for uv in coprod.get(u, ())]
+        for term in terms:
+            if term in acc:
+                acc.remove(term)
+            else:
+                acc.add(term)
     return acc
 
 
 def morphism_differential(H: DAMorphism) -> DAMorphism:
     """The morphism-complex differential of H (an unclosed table is fine)."""
     M, N = H.source, H.target
-    acc: set[Coord] = set()
-    for (x, seq), outs in H.table.items():
-        for b, y in outs:
-            acc ^= _coord_image(M, N, x, seq, b, y)
-    return DAMorphism(M, N, table_of(acc),
+    return DAMorphism(M, N, table_of(toggle_images(M, N, H.coords())),
                       label=f"d({H.label})" if H.label else "")
 
 
@@ -223,39 +222,35 @@ class NotWithinCap:
 def _candidate_unknowns(M: TypeDABimodule, N: TypeDABimodule,
                         e: Coord, cap: int) -> list[Coord]:
     """Unknown coordinates of arity <= cap whose d-image can touch
-    equation e (a superset; exact parities come from _coord_image on the
+    equation e (a superset; exact parities come from toggle_images on the
     forward pass).  Each term of d is tried only at the lengths where its
     unknown has arity <= cap and its table entry arity <= the table's
     bound."""
     A1, A2 = M.left_algebra, M.right_algebra
-    x, seq, (t, z) = e
+    x, seq, out = e
+    t, z = out
     n = len(seq)
-    out = []
+    found = []
     if n <= cap:
         for b in A1.codiff_index.get(t, ()):
-            out.append((x, seq, (b, z)))
+            found.append((x, seq, (b, z)))
         for k, a in enumerate(seq):
             for u in A2.d(a):
-                out.append((x, seq[:k] + (u,) + seq[k + 1:], (t, z)))
+                found.append((x, seq[:k] + (u,) + seq[k + 1:], out))
     if n <= cap + 1:
         for k in range(n - 1):
             for w in A2.product(seq[k], seq[k + 1]):
-                out.append((x, seq[:k] + (w,) + seq[k + 2:], (t, z)))
-    by_seq_N = N.entries_by_sequence
-    left_fac = A1.left_factor_index
+                found.append((x, seq[:k] + (w,) + seq[k + 2:], out))
+    after = N.after_inverse
     for j in range(max(0, n - N.arity_bound), min(n, cap) + 1):
-        for y, outs2 in by_seq_N.get(seq[j:], ()):
-            for c, z2 in outs2:
-                if z2 == z:
-                    for b in left_fac.get((t, c), ()):
-                        out.append((x, seq[:j], (b, y)))
-    right_fac = A1.right_factor_index
+        for by in after.get((seq[j:], t, z), ()):
+            found.append((x, seq[:j], by))
+    before = M.before_inverse
     for j in range(max(0, n - cap), min(n, M.arity_bound) + 1):
-        for c, x2 in M.entry(x, seq[:j]):
-            for b in right_fac.get((t, c), ()):
-                out.append((x2, seq[j:], (b, z)))
+        for x2, b in before.get((x, seq[:j], t), ()):
+            found.append((x2, seq[j:], (b, z)))
     left, right = A1.left_idem, A1.right_idem
-    return [u for u in out if left[u[2][0]] == M.gens[u[0]].left
+    return [u for u in found if left[u[2][0]] == M.gens[u[0]].left
             and right[u[2][0]] == N.gens[u[2][1]].left]
 
 
@@ -308,7 +303,7 @@ def is_homotopic(F: DAMorphism, G: DAMorphism,
     NotWithinCap means no witness of arity <= cap exists and is not a
     proof of non-homotopy.  The system is coordinate_system's closure
     from the coordinates of F + G, with _candidate_unknowns and
-    _coord_image as its incidences, handed to f2.solve as row lists.  The
+    toggle_images as its incidences, handed to f2.solve as row lists.  The
     witness is the unique solution that is zero on every non-pivot
     unknown, with the unknowns in sorted coordinate order; it does not
     depend on the order of the equations.
@@ -322,22 +317,21 @@ def is_homotopic(F: DAMorphism, G: DAMorphism,
         if not is_closed(Fi):
             raise NotClosed(f"{name} morphism is not closed")
     M, N = F.source, F.target
-    rhs = (F + G).table
+    rhs = F + G
     if not rhs:
         return HomotopyWitness(zero_morphism(M, N), cap)
 
-    seeds = [(x, seq, out) for (x, seq), outs in rhs.items()
-             for out in outs]
+    seeds = list(rhs.coords())
     matrix, un_list = coordinate_system(
         seeds, lambda e: _candidate_unknowns(M, N, e, cap),
-        lambda u: _coord_image(M, N, u[0], u[1], *u[2]))
+        lambda u: toggle_images(M, N, (u,)))
     solution = f2.solve(matrix, f2.F2Vector(frozenset(range(len(seeds)))))
     if solution is None:
         return NotWithinCap(cap)
 
     witness = DAMorphism(M, N, table_of(un_list[col]
                                         for col in solution.support))
-    if morphism_differential(witness).table != rhs:
+    if morphism_differential(witness).table != rhs.table:
         raise AssertionError("homotopy witness failed bit-exact re-check")
     return HomotopyWitness(witness, cap)
 

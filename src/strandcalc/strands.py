@@ -352,38 +352,17 @@ class DGAlgebra:
         self._row_fn = None
 
     @cached_property
-    def products_by_right(self) -> dict[int, list[tuple[int, frozenset]]]:
-        """v -> (u, u.v) for every nonzero product (materializes products)."""
-        self.materialize()
-        return group_index((v, (u, w)) for u, row in self._rows.items()
-                           for v, w in row.items())
-
-    @cached_property
     def codiff_index(self) -> dict[int, tuple[int, ...]]:
         """u -> elements a with u in d(a)."""
         return sorted_index((u, a) for a in range(self.size)
                             for u in self.d(a))
 
-    def _product_terms(self):
-        """(u, v, w) for every w in a product u.v."""
-        self.materialize()
-        return ((u, v, w) for u, row in self._rows.items()
-                for v, terms in row.items() for w in terms)
-
     @cached_property
     def coproduct_index(self) -> dict[int, tuple]:
         """w -> ordered pairs (u, v) with w in u.v (materializes products)."""
-        return sorted_index((w, (u, v)) for u, v, w in self._product_terms())
-
-    @cached_property
-    def left_factor_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """(w, v) -> elements u with w in u.v."""
-        return sorted_index(((w, v), u) for u, v, w in self._product_terms())
-
-    @cached_property
-    def right_factor_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """(w, u) -> elements v with w in u.v."""
-        return sorted_index(((w, u), v) for u, v, w in self._product_terms())
+        self.materialize()
+        return sorted_index((w, (u, v)) for u, row in self._rows.items()
+                            for v, terms in row.items() for w in terms)
 
     def __repr__(self):
         tag = self.label or f"{self.size} generators"

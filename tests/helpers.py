@@ -15,7 +15,9 @@ evaluated through the library's morphism complex, as d(D) + D o D, to
 hold check_structure's single pass to that formula.  The arity-zero
 complex reference builds homology's complex, and the naive mapping cone,
 with their own product loops.  The DGA axiom reference evaluates both
-sides of Leibniz and associativity at every pair and triple.
+sides of Leibniz and associativity at every pair and triple.  The
+morphism differential's two mu_2 joins are rebuilt from a raw table and
+a product table with its own loops.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from strandcalc.bimodules import (_positions, compute_Dn, first_entry,
                                   named_entry, sandwiched)
 from strandcalc.boxes import _box_table
 from strandcalc.morphisms import DAMorphism, compose, morphism_differential
-from strandcalc.strands import (DGAlgebra, StrandDiagram, expansions,
-                                source_idem, target_idem)
+from strandcalc.strands import (DGAlgebra, StrandDiagram, enumerate_basis,
+                                expansions, source_idem, target_idem)
 
 
 def table_mult(table):
@@ -262,6 +264,16 @@ def ref_multiply(circle, a, b):
     return _ref_regroup(circle, acc)
 
 
+def ref_products(circle, A):
+    """(u, v) -> u.v in A's basis indices for every idempotent-matched
+    pair, each product computed by ref_multiply (A = build_dga(circle))."""
+    basis = enumerate_basis(circle)
+    return {(i, j): frozenset(A.index(str(d))
+                              for d in ref_multiply(circle, a, b))
+            for i, a in enumerate(basis) for j, b in enumerate(basis)
+            if A.right_idem[i] == A.left_idem[j]}
+
+
 def ref_differential(circle, a):
     """The differential of a diagram by the definition: every crossing of
     every expansion resolved by swapping the two ends, kept when it
@@ -423,6 +435,40 @@ def reference_structure(M):
         x, seq = min(table, key=lambda k: (len(k[1]), k))
         witness = named_entry(M, M, x, seq, table[(x, seq)])
     return table, witness, len(positions)
+
+
+def _transpose(index) -> dict:
+    """value -> sorted keys listing it, as often as it lists the value."""
+    back: dict = {}
+    for key, values in index.items():
+        for value in values:
+            back.setdefault(value, []).append(key)
+    return {k: sorted(v) for k, v in back.items()}
+
+
+def joins_checked(M, products) -> tuple[int, int]:
+    """Assert that M's mu_2 joins equal a brute-force build from M's raw
+    table and products (a full (u, v) -> u.v table): after (b, y) ->
+    (s, t, z) for c (x) z in M(y, s) and t in b.c, before (x, b) ->
+    (x0, s, t) for c (x) x in M(x0, s) and t in c.b, each term as often
+    as it arises; and that each inverse is the exact transpose of its
+    join.  Returns the term counts of after and before."""
+    after, before = {}, {}
+    for (g, s), outs in M.table.items():  # each entry c (x) h at (g, s)
+        for c, h in outs:
+            for b in range(M.left_algebra.size):
+                for t in products.get((b, c), ()):
+                    after.setdefault((b, g), []).append((s, t, h))
+                for t in products.get((c, b), ()):
+                    before.setdefault((h, b), []).append((g, s, t))
+    for got, want in ((M.after, after), (M.before, before)):
+        assert {k: sorted(v) for k, v in got.items()} == \
+            {k: sorted(v) for k, v in want.items()}
+    for inverse, join in ((M.after_inverse, M.after),
+                          (M.before_inverse, M.before)):
+        assert {k: sorted(v) for k, v in inverse.items()} == \
+            _transpose(join)
+    return (sum(map(len, after.values())), sum(map(len, before.values())))
 
 
 def relation_by_morphism_complex(M):

@@ -13,13 +13,15 @@ from strandcalc.bimodules import (check_structure, compute_Dn, homology,
 from strandcalc.boxes import box_bimodules
 from strandcalc.circles import torus_circle
 from strandcalc.errors import IdempotentMismatch, NotAComplex, UnknownSymbol
-from strandcalc.morphisms import DAMorphism, compose, morphism_differential
+from strandcalc.morphisms import (DAMorphism, compose, identity_morphism,
+                                  is_closed, is_homotopic,
+                                  morphism_differential, zero_morphism)
 from strandcalc.strands import DGAlgebra, build_dga
 
 from helpers import (chained_coords, direct_Dn, random_chained_table,
                      random_unchained_table, reference_arity_zero_complex,
                      reference_structure, relation_by_morphism_complex,
-                     table_mult)
+                     spy_solve, table_mult)
 
 A = build_dga(torus_circle(), label="A")
 I = identity_bimodule(A, label="I")
@@ -300,6 +302,25 @@ class TestIdentityBimodule:
         del B
         gc.collect()
         assert gone() is None
+
+    def test_joins_keep_no_algebra_alive(self, monkeypatch):
+        # the structure check, closedness and a homotopy search build the
+        # mu_2 joins and their inverses on the table kept per algebra;
+        # they hold no reference to it, so every fresh algebra is freed
+        sizes = spy_solve(monkeypatch)
+        gone = []
+        for _ in range(3):
+            B = build_dga(torus_circle())
+            J = identity_bimodule(B)
+            ID = identity_morphism(J)
+            assert check_structure(J).passed and is_closed(ID)
+            assert not is_homotopic(ID, zero_morphism(J, J), 1)
+            assert J.after_inverse and J.before_inverse
+            gone.append(weakref.ref(B))
+        del B, J, ID
+        gc.collect()
+        assert len(sizes) == 3 and all(rows for rows, _, _ in sizes)
+        assert [r() for r in gone] == [None] * 3
 
 
 def reference_homology(M):

@@ -18,10 +18,10 @@ from strandcalc.boxes import box_bimodules
 from strandcalc.strands import (EMPTY, DGAlgebra, build_dga,
                                 enumerate_basis, verify_dga)
 
-from helpers import (flipped, input_positions, product_flips,
+from helpers import (flipped, input_positions, joins_checked, product_flips,
                      random_chained_table, spy_solve,
                      reference_arity_zero_complex, reference_defect,
-                     reference_structure, ref_multiply,
+                     reference_structure, ref_multiply, ref_products,
                      relation_by_morphism_complex)
 
 A2 = build_dga(split_circle(2), label="A2")
@@ -175,6 +175,11 @@ class TestGenus2Bimodules:
         assert rep.passed
         assert rep.complete
         assert rep.max_arity == 2
+
+    def test_joins_match_reference(self):
+        # one after and one before term per nonzero product of A2
+        assert joins_checked(I2, ref_products(split_circle(2), A2)) == \
+            (5815, 5815)
 
     def test_identity_structure_matches_reference(self):
         table, witness, positions = reference_structure(I2)

@@ -20,8 +20,8 @@ from strandcalc.morphisms import (DAMorphism, _candidate_unknowns, compose,
                                   morphism_differential, zero_morphism)
 from strandcalc.strands import build_dga
 
-from helpers import (chained_coords, random_chained_table,
-                     random_unchained_table, ref_solve,
+from helpers import (chained_coords, joins_checked, random_chained_table,
+                     random_unchained_table, ref_products, ref_solve,
                      reference_naive_quasi_iso, spy_solve)
 
 TUTORIAL = os.path.join(os.path.dirname(os.path.dirname(
@@ -219,6 +219,14 @@ M2 = make_bimodule(A, A, [("u", I0, I0), ("v", I0, I0)],
 IM2, M2I = box_bimodules(I, M2), box_bimodules(M2, I)
 W = TypeDABimodule(A, A, I.gens, random_chained_table(
     Random(7), I, I, 3, 22).table, label="W")
+
+
+class TestJoins:
+    @pytest.mark.parametrize("M", [I, M2, IM2, M2I, W],
+                             ids=["I", "M2", "I.M2", "M2.I", "W"])
+    def test_joins_match_reference(self, M):
+        after, before = joins_checked(M, ref_products(torus_circle(), A))
+        assert after and before
 
 
 @lru_cache(maxsize=None)

@@ -184,8 +184,8 @@ class TestBuildDGA:
     def test_materialize_asks_only_matched_pairs(self):
         # a closure-backed copy of the torus algebra whose rows also list
         # every unmatched pair, as zero: materialize asks each left factor
-        # once, stores only the nonzero matched products, and the factor
-        # indexes equal the ones read off all 16^2 products
+        # once, stores only the nonzero matched products, and the
+        # coproduct index equals the one read off all 16^2 products
         A = build_dga(T)
         n = A.size
         asked = []
@@ -203,19 +203,13 @@ class TestBuildDGA:
             assert B.row(i) == {j: A.product(i, j) for j in range(n)
                                 if A.product(i, j)}
             assert all(A.right_idem[i] == A.left_idem[j] for j in B.row(i))
-        coproduct, left, right = {}, {}, {}
+        coproduct = {}
         for u in range(n):
             for v in range(n):
                 for w in A.product(u, v):
                     coproduct.setdefault(w, []).append((u, v))
-                    left.setdefault((w, v), []).append(u)
-                    right.setdefault((w, u), []).append(v)
         assert B.coproduct_index == {k: tuple(sorted(v))
                                      for k, v in coproduct.items()}
-        assert B.left_factor_index == {k: tuple(sorted(v))
-                                       for k, v in left.items()}
-        assert B.right_factor_index == {k: tuple(sorted(v))
-                                        for k, v in right.items()}
         assert len(asked) == n
 
     def test_unmatched_pair_never_asks_the_closure(self):
