@@ -12,8 +12,14 @@ recovered from it, and the higher maps D_n arise by the recursion
 
     D_n(x, a_1..a_i) = sum_j (I x D_1)(D_{n-1}(x, a_1..a_j), a_{j+1}..a_i)
 
-with possibly empty chunks.  Every output (b, y) of an entry at x must
-satisfy iL(x) . b . iL(y) = b.
+with possibly empty chunks.  Tables are maps of bimodules over the
+idempotent rings, so every entry at (x, a_1..a_k) is a term on nonzero
+elements: each output (b, y) satisfies iL(x) . b . iL(y) = b (the left
+rule), and the inputs compose from iR(x) (iR(x) = iL(a_1),
+iR(a_i) = iL(a_{i+1})) and end at iR(y) (iR(a_k) = iR(y), or
+iR(x) = iR(y) when k = 0; the right rule).  checked_table refuses an
+entry that breaks either rule, and every table the library builds keeps
+both.
 
 Tables must be bounded: K denotes the largest input arity carrying a
 nonzero entry.  With A1 an honest DGA the structure relation
@@ -150,36 +156,6 @@ class DATable:
         return sorted_index((term, xb) for xb, terms in self.before.items()
                             for term in terms)
 
-    @cached_property
-    def is_chained(self) -> bool:
-        """True when the table only couples idempotent-chained data.
-
-        An entry ((x, a_1..a_k), (b, y)) is chained when the inputs
-        compose (right idempotent of x = source of a_1, target of a_i =
-        source of a_{i+1}) and the output generator continues the chain
-        (right idempotent of y = target of a_k, or of x when k = 0).
-        For a chained table over idempotent-graded algebras (d preserves
-        idempotents, and products do, as every b is iL(b) . b . iR(b))
-        every term of the structure relation and of the morphism
-        differential references only chained entries on chained
-        sequences, so the relation can be nonzero only on chained
-        sequences; check_structure counts just those positions in
-        `tested`.  The box tensor reads a chained table T as T . I(A).
-        """
-        source, target = self.source, self.target
-        A2 = source.right_algebra
-        if not (source.left_algebra.idem_graded and A2.idem_graded):
-            return False
-        for (x, seq), outs in self.table.items():
-            state = source.gens[x].right
-            for a in seq:
-                if A2.left_idem[a] != state:
-                    return False
-                state = A2.right_idem[a]
-            if any(target.gens[y].right != state for _, y in outs):
-                return False
-        return True
-
 
 def toggle(parity: set, term) -> None:
     """Add term to a GF(2) sum held as a set, or cancel it there."""
@@ -289,18 +265,27 @@ def checked_table(A1: DGAlgebra, A2: DGAlgebra,
                   target_gens: tuple[BimodGenerator, ...],
                   table: Mapping[Key, Iterable[tuple[int, int]]]
                   ) -> dict[Key, Span]:
-    """Screen a table's indices and left-idempotent compatibility; returns
-    it with frozen keys and outputs and without zero entries."""
+    """Screen a table's indices and both idempotent rules (see the module
+    docstring) on its nonzero entries; returns it with frozen keys and
+    outputs and without zero entries."""
+    def mismatch(what: str, side: str) -> IdempotentMismatch:
+        return IdempotentMismatch(
+            f"{what} at ({source_gens[x].name}, arity {len(seq)}) "
+            f"violates {side}-idempotent compatibility")
+
     clean: dict[Key, Span] = {}
     n1, n2, n_x, n_y = A1.size, A2.size, len(source_gens), len(target_gens)
     for (x, seq), outs in table.items():
         if not (0 <= x < n_x):
             raise UnknownSymbol(f"unknown source generator index {x}")
-        seq = tuple(seq)
+        seq, outs = tuple(seq), frozenset(map(tuple, outs))
+        end = source_gens[x].right  # where the inputs so far end
         for a in seq:
             if not (0 <= a < n2):
                 raise UnknownSymbol(f"unknown right-algebra index {a}")
-        outs = frozenset(map(tuple, outs))
+            if outs and A2.left_idem[a] != end:
+                raise mismatch(f"input {A2.name(a)}", "right")
+            end = A2.right_idem[a]
         for b, y in outs:
             if not (0 <= b < n1):
                 raise UnknownSymbol(f"unknown left-algebra index {b}")
@@ -308,10 +293,13 @@ def checked_table(A1: DGAlgebra, A2: DGAlgebra,
                 raise UnknownSymbol(f"unknown target generator index {y}")
             if not sandwiched(A1, source_gens[x].left, b,
                               target_gens[y].left):
-                raise IdempotentMismatch(
-                    f"output {A1.name(b)} : {target_gens[y].name} at "
-                    f"({source_gens[x].name}, arity {len(seq)}) violates "
-                    f"left-idempotent compatibility")
+                side = "left"
+            elif target_gens[y].right != end:
+                side = "right"
+            else:
+                continue
+            raise mismatch(f"output {A1.name(b)} : {target_gens[y].name}",
+                           side)
         if outs:
             clean[(x, seq)] = outs
     return clean
@@ -375,7 +363,7 @@ class StructureReport:
     passed: bool
     max_arity: int
     complete: bool
-    restricted_to_chained: bool
+    restricted_to_chained: bool  # always true (see check_structure)
     tested: int
     witness: tuple | None  # (generator name, sequence names, defect names)
 
@@ -392,11 +380,9 @@ class StructureReport:
 
 
 def _positions(M: TypeDABimodule, bound: int) -> int:
-    """Input positions of arity <= bound: the chained ones for a chained
-    table, every (generator, sequence) pair otherwise."""
+    """Input positions of arity <= bound whose inputs compose from the
+    generator's right idempotent: the only ones a table can read."""
     A2 = M.right_algebra
-    if not M.is_chained:
-        return M.size * sum(A2.size ** k for k in range(bound + 1))
     walks = [1] * A2.size  # chained sequences of length k from each state
     total = 0
     for _ in range(bound + 1):
@@ -419,14 +405,16 @@ def check_structure(M: TypeDABimodule) -> StructureReport:
     cancelling as they meet; the survivors are the failing positions, and
     a failing report carries the canonically first.  `tested` counts the
     positions of arity <= 2K where the relation can be nonzero (see the
-    module docstring), only the chained ones for a chained table.
+    module docstring) whose inputs compose: each term of the relation
+    reads entries and products that keep both idempotent rules, so it
+    vanishes elsewhere, and the report is always restricted_to_chained.
     """
     from .morphisms import toggle_images
     acc = toggle_images(M, M, M.coords(), before=False)
     witness = first_entry(M, M, table_of(acc))
     bound = 2 * M.arity_bound
-    return StructureReport(M.label, witness is None, bound, True,
-                           M.is_chained, _positions(M, bound), witness)
+    return StructureReport(M.label, witness is None, bound, True, True,
+                           _positions(M, bound), witness)
 
 
 # A -> (gens, bare table) of I(A); neither refers to A, so A can be freed

@@ -26,10 +26,11 @@ identity and F . G is F . I, one walk and no composition
 (Lipshitz-Ozsvath-Thurston, arXiv:1003.0598).
 
 I(A) is the unit of the product (same_shape with identity_bimodule(A)),
-so a unit factor is read off, not walked.  A chained N . I(A), or
-F . I(A), is built on N's (F's) own table object, indexes and verdicts;
-I(A) . M, or I(A) . G, renumbers M's (G's) table, less the outputs that
-are not sandwiched, which the walk reads as zero.
+so a unit factor is read off, not walked.  Every table keeps both
+idempotent rules (see bimodules), so each x of N pairs with exactly one
+generator of I(A) and each y of M with exactly one: N . I(A), or
+F . I(A), is built on N's (F's) own table object, indexes and verdicts,
+and I(A) . M, or I(A) . G, renumbers M's (G's) table.
 box_bimodules matches factors by object identity and returns the
 product it built before from the same two objects while that product
 is still alive, so each live product is built once.
@@ -40,7 +41,7 @@ from __future__ import annotations
 from weakref import ref
 
 from .bimodules import (Coord, DATable, Key, Span, TypeDABimodule,
-                        checked_gens, sandwiched, table_of, toggle)
+                        checked_gens, table_of, toggle)
 from .errors import MiddleAlgebraMismatch
 from .morphisms import DAMorphism, compose, identity_morphism
 
@@ -83,15 +84,12 @@ def _morphism_chain_states(G: DAMorphism, start: int, prefixes: dict):
 
 
 def _left_unit(N: TypeDABimodule, T: DATable) -> dict[Key, Span]:
-    """The table of I . T for N = I(A) and T from M to M2 (the left unit),
-    less the outputs b : y at x that are not sandwiched."""
-    M, M2 = T.source, T.target
+    """The table of I . T for N = I(A) and T from M to M2 (the left
+    unit)."""
     src, tgt = ({j: k for k, (_, j) in enumerate(_matched_pairs(N, P))}
-                for P in (M, M2))
-    return {(src[x], seq): frozenset(
-        (b, tgt[y]) for b, y in outs
-        if sandwiched(N.left_algebra, M.gens[x].left, b, M2.gens[y].left))
-        for (x, seq), outs in T.table.items() if x in src}
+                for P in (T.source, T.target))
+    return {(src[x], seq): frozenset((b, tgt[y]) for b, y in outs)
+            for (x, seq), outs in T.table.items()}
 
 
 def _box_table(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
@@ -100,17 +98,15 @@ def _box_table(T: DATable, N: TypeDABimodule, N2: TypeDABimodule,
     """The frozen table of a map (N . M) -> (N2 . M2) that feeds the A2
     chain of each state into T : N -> N2 once; states(j) yields the
     (M2 generator, consumed inputs, A2 chain) states from generator j of
-    M.  Its outputs are legal by construction, so the box results are
-    built without re-screening them."""
+    M.  Its outputs keep both idempotent rules by construction, so the
+    box results are built without re-screening them."""
     pos_t = {p: k for k, p in enumerate(_matched_pairs(N2, M2))}
     entry = T.table.get
     acc: set[Coord] = set()
     for key, (i, j) in enumerate(_matched_pairs(N, M)):
         for y, seq, chain in states(j):
             for b, i2 in entry((i, chain), ()):
-                out = pos_t.get((i2, y))
-                if out is not None:  # else zero over the idempotent ring
-                    toggle(acc, (key, seq, (b, out)))
+                toggle(acc, (key, seq, (b, pos_t[i2, y])))
     return table_of(acc)
 
 
@@ -121,10 +117,9 @@ def _walk_left(T: DATable, M: TypeDABimodule) -> dict[Key, Span]:
 
 
 def _box_left(T: DATable, M: TypeDABimodule) -> DATable | dict[Key, Span]:
-    """T itself when M is I(A) and T is chained (the right unit: each
-    generator's right idempotent, one of A's, pairs it with one of M's),
-    else the walk."""
-    return T if M.is_unit and T.is_chained else _walk_left(T, M)
+    """T itself when M is I(A) (the right unit: each generator's right
+    idempotent, one of A's, pairs it with one of M's), else the walk."""
+    return T if M.is_unit else _walk_left(T, M)
 
 
 def box_bimodules(N: TypeDABimodule, M: TypeDABimodule) -> TypeDABimodule:
@@ -143,7 +138,7 @@ def box_bimodules(N: TypeDABimodule, M: TypeDABimodule) -> TypeDABimodule:
         product = TypeDABimodule(N.left_algebra, M.right_algebra, gens,
                                  table, label=f"{N.label}.{M.label}")
         if table is N:  # same_shape as N, so the same verdicts
-            for verdict in ("is_unit", "is_chained", "strictly_unital"):
+            for verdict in ("is_unit", "strictly_unital"):
                 setattr(product, verdict, getattr(N, verdict))
         products[M] = ref(product)
     return product

@@ -36,7 +36,6 @@ from .strands import verify_dga
 class CommandResult:
     status: str  # pass | fail
     payload: dict = field(default_factory=dict)
-    diagnostics: list = field(default_factory=list)
     blocks: list = field(default_factory=list)  # verbatim document text
 
     @property
@@ -50,19 +49,13 @@ def _fmt_value(value) -> str:
 
 def render(result: CommandResult, fmt: str) -> str:
     if fmt == "json":
-        data = {
-            "status": result.status,
-            "payload": result.payload,
-            "diagnostics": result.diagnostics,
-        }
+        data = {"status": result.status, "payload": result.payload}
         if result.blocks:
             data["blocks"] = result.blocks
         return json.dumps(data, sort_keys=True, indent=2) + "\n"
     lines = [f"status: {result.status}"]
     for key in sorted(result.payload):
         lines.append(f"{key}: {_fmt_value(result.payload[key])}")
-    for loc, message in result.diagnostics:
-        lines.append(f"diagnostic: {loc}: {message}")
     out = "\n".join(lines) + "\n"
     for block in result.blocks:
         out += block + "\n"
@@ -164,16 +157,15 @@ def _cmd_morphism(doc, args) -> CommandResult:
         text = docmod.morphism_text(args.output, rebased, src, tgt)
         payload = {"name": args.output, "entries": len(B.table)}
         return CommandResult("pass", payload, blocks=[text])
-    if args.action == "homotopic":
-        F = doc.get(args.names[0], "morphism")
-        G = doc.get(args.names[1], "morphism")
-        result = is_homotopic(F, G, args.cap)
-        payload = {"cap": args.cap, "homotopic_within_cap": bool(result)}
-        if result:
-            payload["witness_entries"] = len(result.h.table)
-            payload["witness_arity"] = result.h.arity_bound
-        return CommandResult("pass" if result else "fail", payload)
-    raise DocumentError(f"unknown morphism action {args.action!r}")
+    # homotopic, the one action left (argparse's choices admit no other)
+    F = doc.get(args.names[0], "morphism")
+    G = doc.get(args.names[1], "morphism")
+    result = is_homotopic(F, G, args.cap)
+    payload = {"cap": args.cap, "homotopic_within_cap": bool(result)}
+    if result:
+        payload["witness_entries"] = len(result.h.table)
+        payload["witness_arity"] = result.h.arity_bound
+    return CommandResult("pass" if result else "fail", payload)
 
 
 def _cmd_homology(doc, args) -> CommandResult:
@@ -217,21 +209,20 @@ def _cmd_clf(doc, args) -> CommandResult:
             "conjugators": [clfmod.word_str(u) for u in conjugators],
         }
         return CommandResult("pass", payload)
-    if args.action == "evaluate":
-        if args.assign is None:
-            raise DocumentError("evaluate needs --assign NAME")
-        assign = doc.get(args.assign, "assign")
-        F = clfmod.evaluate(expr, assign)
-        closed = is_closed(F)
-        payload = {
-            "entries": len(F.table),
-            "arity_bound": F.arity_bound,
-            "closed": closed.closed,
-            "table": [named_entry(F.source, F.target, x, seq, outs)
-                      for (x, seq), outs in sorted(F.table.items())],
-        }
-        return CommandResult("pass" if closed.closed else "fail", payload)
-    raise DocumentError(f"unknown clf action {args.action!r}")
+    # evaluate, the one action left (argparse's choices admit no other)
+    if args.assign is None:
+        raise DocumentError("evaluate needs --assign NAME")
+    assign = doc.get(args.assign, "assign")
+    F = clfmod.evaluate(expr, assign)
+    closed = is_closed(F)
+    payload = {
+        "entries": len(F.table),
+        "arity_bound": F.arity_bound,
+        "closed": closed.closed,
+        "table": [named_entry(F.source, F.target, x, seq, outs)
+                  for (x, seq), outs in sorted(F.table.items())],
+    }
+    return CommandResult("pass" if closed.closed else "fail", payload)
 
 
 def _at_least(least: int):

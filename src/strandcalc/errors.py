@@ -34,7 +34,10 @@ class UnknownSymbol(StrandCalcError):
 
 
 class IdempotentMismatch(StrandCalcError):
-    """A table output violates left-idempotent compatibility."""
+    """A table entry is a term on a zero element: an output b : y at x
+    with iL(x) . b . iL(y) != b (left-idempotent compatibility), or
+    inputs that do not compose from iR(x) or do not end at iR(y)
+    (right-idempotent compatibility)."""
 
 
 class BimoduleMismatch(StrandCalcError):

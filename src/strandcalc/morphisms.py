@@ -6,8 +6,9 @@ supported table
     F : (generator x of M, sequence over A2) -> sums of (b, y)
 
 with b an A1 basis element and y a generator of N, subject to the same
-left-idempotent compatibility as a structure table.  Unclosed tables are
-legal values: they serve as homotopies.
+two idempotent rules as a structure table (see bimodules): iL(x) . b .
+iL(y) = b, and the inputs compose from iR(x) and end at iR(y).  Unclosed
+tables are legal values: they serve as homotopies.
 
 With A1 an honest DGA the differential of the morphism complex collapses
 to five kinds of terms:
@@ -225,7 +226,9 @@ def _candidate_unknowns(M: TypeDABimodule, N: TypeDABimodule,
     equation e (a superset; exact parities come from toggle_images on the
     forward pass).  Each term of d is tried only at the lengths where its
     unknown has arity <= cap and its table entry arity <= the table's
-    bound."""
+    bound.  When e keeps both idempotent rules, so does every candidate:
+    d and products preserve idempotents, and M's and N's tables keep
+    both rules."""
     A1, A2 = M.left_algebra, M.right_algebra
     x, seq, out = e
     t, z = out
@@ -249,9 +252,7 @@ def _candidate_unknowns(M: TypeDABimodule, N: TypeDABimodule,
     for j in range(max(0, n - cap), min(n, M.arity_bound) + 1):
         for x2, b in before.get((x, seq[:j], t), ()):
             found.append((x2, seq[j:], (b, z)))
-    left, right = A1.left_idem, A1.right_idem
-    return [u for u in found if left[u[2][0]] == M.gens[u[0]].left
-            and right[u[2][0]] == N.gens[u[2][1]].left]
+    return found
 
 
 def coordinate_system(seeds: list, candidates: Callable[[Any], Iterable],

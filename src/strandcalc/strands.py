@@ -266,7 +266,10 @@ class DGAlgebra:
     carries a left (source) and right (target) idempotent, themselves
     basis indices.  The algebra is taken to have orthogonal idempotents
     and b = left_idem[b] . b . right_idem[b] for every b, so that these
-    indices are the idempotent facts bimodules.sandwiched reads.
+    indices are the idempotent facts bimodules.sandwiched reads; products
+    are taken to preserve both idempotents, and a d that does not (a
+    term of d(b) whose idempotents differ from b's) is refused with
+    ValueError.
     Products are stored a row at a time, one dict per left factor i
     holding j -> i.j for the nonzero products only.  The closure row_fn
     gives row i when first asked; of its answer only the nonzero values
@@ -290,12 +293,13 @@ class DGAlgebra:
         n = self.size
         if len(self.left_idem) != n or len(self.right_idem) != n:
             raise ValueError("idempotent assignment length mismatch")
-        # d preserves both idempotents (d is the only table known here;
-        # products are taken to preserve them, as b = iL(b) . b . iR(b))
-        self.idem_graded = all(
-            self.left_idem[t] == self.left_idem[i]
-            and self.right_idem[t] == self.right_idem[i]
-            for i, terms in self._diff.items() for t in terms)
+        for i, terms in self._diff.items():
+            for t in terms:
+                if (self.left_idem[t], self.right_idem[t]) != \
+                        (self.left_idem[i], self.right_idem[i]):
+                    raise ValueError(f"d({self.name(i)}) has the term "
+                                     f"{self.name(t)}, whose idempotents "
+                                     f"differ")
 
     @property
     def size(self) -> int:

@@ -28,8 +28,8 @@ from random import Random
 import numpy as np
 
 from strandcalc import f2
-from strandcalc.bimodules import (_positions, compute_Dn, first_entry,
-                                  named_entry, sandwiched)
+from strandcalc.bimodules import (_positions, checked_table, compute_Dn,
+                                  first_entry, named_entry, sandwiched)
 from strandcalc.boxes import _box_table
 from strandcalc.morphisms import DAMorphism, compose, morphism_differential
 from strandcalc.strands import (DGAlgebra, StrandDiagram, enumerate_basis,
@@ -403,10 +403,10 @@ def reference_defect(M, x, seq):
     return frozenset(acc)
 
 
-def input_positions(M, max_len, chained):
-    """Every (generator, sequence) with at most max_len inputs, listed one
-    by one; with chained, only sequences whose idempotents compose from
-    the generator's right idempotent on."""
+def input_positions(M, max_len):
+    """Every (generator, sequence) with at most max_len inputs whose
+    idempotents compose from the generator's right idempotent on, listed
+    one by one."""
     A2 = M.right_algebra
     out = []
     for x in range(M.size):
@@ -416,15 +416,37 @@ def input_positions(M, max_len, chained):
             if k < max_len:
                 level = [(seq + (a,), A2.right_idem[a])
                          for seq, state in level for a in range(A2.size)
-                         if not chained or A2.left_idem[a] == state]
+                         if A2.left_idem[a] == state]
     return out
+
+
+def is_chained_entry(M, N, x, seq, outs):
+    """Whether an entry (x, seq) -> outs of a table from M to N keeps the
+    right idempotent rule, read off its definition: the inputs compose
+    from iR(x), and every output generator's right idempotent is where
+    they end."""
+    A2 = M.right_algebra
+    state = M.gens[x].right
+    for a in seq:
+        if A2.left_idem[a] != state:
+            return False
+        state = A2.right_idem[a]
+    return all(N.gens[y].right == state for _, y in outs)
+
+
+def rescreened(T):
+    """T's table screened again by checked_table (T a bimodule, read as
+    its structure table, or a morphism)."""
+    M, N = T.source, T.target
+    return checked_table(M.left_algebra, M.right_algebra, M.gens, N.gens,
+                         T.table)
 
 
 def reference_structure(M):
     """(defect table, witness, positions) of the relation swept over the
-    positions of arity <= 2K, chained ones only for a chained table; the
-    witness is the failure with the fewest inputs, then the least key."""
-    positions = input_positions(M, 2 * M.arity_bound, M.is_chained)
+    chained positions of arity <= 2K; the witness is the failure with the
+    fewest inputs, then the least key."""
+    positions = input_positions(M, 2 * M.arity_bound)
     table = {}
     for x, seq in positions:
         defect = reference_defect(M, x, seq)
@@ -587,7 +609,10 @@ def random_chained_table(rng: Random, M, N, cap: int,
 
 def random_unchained_table(rng: Random, M, N, cap: int,
                            density: int) -> DAMorphism:
-    """Arbitrary idempotent-compatible coordinates (no chain condition)."""
+    """Coordinates that keep the left idempotent rule, with no chain
+    condition: mostly tables that checked_table refuses, for refusal
+    tests and for identities of the morphism complex that hold on any
+    table."""
     A1, A2 = M.left_algebra, M.right_algebra
     table: dict = {}
     placed = 0

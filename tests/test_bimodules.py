@@ -1,27 +1,31 @@
 """Type DA bimodules: tables, structure maps, the structure relation."""
 
 import gc
+import itertools
 import weakref
 from random import Random
 
 import pytest
 
 from strandcalc import f2
-from strandcalc.bimodules import (check_structure, compute_Dn, homology,
-                                  identity_bimodule, make_bimodule,
-                                  sandwiched)
-from strandcalc.boxes import box_bimodules
-from strandcalc.circles import torus_circle
+from strandcalc.bimodules import (TypeDABimodule, check_structure,
+                                  compute_Dn, homology, identity_bimodule,
+                                  make_bimodule, sandwiched)
+from strandcalc.boxes import (box_bimodules, box_morphism_left,
+                              box_morphism_right, box_morphisms)
+from strandcalc.circles import split_circle, torus_circle
 from strandcalc.errors import IdempotentMismatch, NotAComplex, UnknownSymbol
 from strandcalc.morphisms import (DAMorphism, compose, identity_morphism,
-                                  is_closed, is_homotopic,
+                                  is_closed, is_homotopic, mapping_cone,
                                   morphism_differential, zero_morphism)
-from strandcalc.strands import DGAlgebra, build_dga
+from strandcalc.strands import DGAlgebra, build_dga, verify_dga
 
-from helpers import (chained_coords, direct_Dn, random_chained_table,
-                     random_unchained_table, reference_arity_zero_complex,
+from helpers import (chained_coords, direct_Dn, is_chained_entry,
+                     random_chained_table, random_unchained_table,
+                     reference_arity_zero_complex, reference_defect,
                      reference_structure, relation_by_morphism_complex,
-                     spy_solve, table_mult)
+                     rescreened, sampled_chained_table, spy_solve,
+                     table_mult)
 
 A = build_dga(torus_circle(), label="A")
 I = identity_bimodule(A, label="I")
@@ -77,11 +81,38 @@ class TestMakeBimodule:
             make_bimodule(A, A, [("x", I0, I0)], table)
         assert str(info.value) == message
 
+    # r[1-2] runs from h(1 3) to h(2 4) and r[2-3] back
+    @pytest.mark.parametrize("gens,table,message", [
+        ([("x", I0, I0)], {(0, (R1, R1)): [(R12, 0)]},
+         "input r[1-2] at (x, arity 2) violates right-idempotent "
+         "compatibility"),
+        ([("x", I0, I0), ("y", I0, I1)], {(0, ()): [(I0, 1)]},
+         "output h(1 3) : y at (x, arity 0) violates right-idempotent "
+         "compatibility"),
+        ([("x", I0, I0)], {(0, (R1,)): [(I0, 0)]},
+         "output h(1 3) : x at (x, arity 1) violates right-idempotent "
+         "compatibility"),
+    ], ids=["inputs", "arity 0", "arity 1"])
+    def test_right_rule_messages(self, gens, table, message):
+        # a term on a zero element: inputs that do not compose from the
+        # generator's right idempotent, or an output generator whose right
+        # idempotent is not where the inputs end
+        with pytest.raises(IdempotentMismatch) as info:
+            make_bimodule(A, A, gens, table)
+        assert str(info.value) == message
+
+    def test_zero_entries_are_not_screened(self):
+        # an entry that cancels to zero is dropped, whatever its inputs
+        M = make_bimodule(A, A, [("x", I0, I0)], {(0, (R2,)): []})
+        assert not M.table
+
 
 def hand_written_algebras():
     """The small algebras of the verify_dga and identity-bimodule failure
     tests: a d^2 != 0 algebra on one idempotent and a Leibniz-violating
-    one on two."""
+    one on two, whose d keeps idempotents.  In the second, x, y run from
+    i to k and z from k to k, d(x) = y, and the one product y.z = i ends
+    at the wrong idempotent (DGAlgebra takes products on trust)."""
     return [
         DGAlgebra(("i", "x", "y"), (0,), (0, 0, 0), (0, 0, 0),
                   {1: frozenset((2,)), 2: frozenset((1,))},
@@ -89,12 +120,14 @@ def hand_written_algebras():
                       (0, 0): frozenset((0,)),
                       (0, 1): frozenset((1,)), (1, 0): frozenset((1,)),
                       (0, 2): frozenset((2,)), (2, 0): frozenset((2,))})),
-        DGAlgebra(("i", "k", "x", "y"), (0, 1), (0, 1, 0, 1), (0, 1, 1, 0),
-                  {2: frozenset((3,))},
+        DGAlgebra(("i", "k", "x", "y", "z"), (0, 1), (0, 1, 0, 0, 1),
+                  (0, 1, 1, 1, 1), {2: frozenset((3,))},
                   row_fn=table_mult({
                       (0, 0): frozenset((0,)), (1, 1): frozenset((1,)),
                       (0, 2): frozenset((2,)), (2, 1): frozenset((2,)),
-                      (1, 3): frozenset((3,)), (3, 0): frozenset((3,))})),
+                      (0, 3): frozenset((3,)), (3, 1): frozenset((3,)),
+                      (1, 4): frozenset((4,)), (4, 1): frozenset((4,)),
+                      (3, 4): frozenset((0,))})),
     ]
 
 
@@ -146,15 +179,27 @@ class TestCheckStructure:
         assert report.max_arity == 2 * I.arity_bound
 
     def test_unchained_enumeration_agrees(self):
-        # force the full (non-chained) enumeration; same verdict
-        report = check_structure(I)
-        M2 = make_bimodule(A, A, [(g.name, g.left, g.right) for g in I.gens],
-                           I.d1)
-        M2.is_chained = False  # force the full sweep
-        full_report = check_structure(M2)
-        assert full_report.passed
-        assert not full_report.restricted_to_chained
-        assert full_report.tested > report.tested
+        # the relation swept over every sequence of arity <= 2K, chained
+        # or not, fails exactly where it fails on the chained ones, which
+        # are all that check_structure counts
+        rng = Random(14)
+        gens = [(g.name, g.left, g.right) for g in I.gens]
+        tables = [I.d1] + [random_chained_table(rng, I, I, 1, 3).table
+                           for _ in range(4)]
+        passed = []
+        for table in tables:
+            M = make_bimodule(A, A, gens, table)
+            full = {(x, seq): reference_defect(M, x, seq)
+                    for x in range(M.size)
+                    for k in range(2 * M.arity_bound + 1)
+                    for seq in itertools.product(range(A.size), repeat=k)}
+            reference, _, positions = reference_structure(M)
+            assert {k: v for k, v in full.items() if v} == reference
+            report = check_structure(M)
+            assert report.restricted_to_chained
+            assert report.tested == positions < len(full)
+            passed.append(report.passed)
+        assert passed == [True, False, False, False, False]
 
     def test_uncompensated_differential_fails(self):
         # D1(x, [ib]) outputs an element with nonzero differential and no
@@ -202,7 +247,7 @@ def assert_matches_reference(M):
     assert report.witness == witness
     assert report.tested == positions
     assert report.max_arity == 2 * M.arity_bound and report.complete
-    assert report.restricted_to_chained == M.is_chained
+    assert report.restricted_to_chained
     return report
 
 
@@ -226,24 +271,38 @@ class TestStructureReference:
         assert (len(universe), failing) == (80, 74)
 
     def test_random_unchained_tables(self):
+        # draws with no chain condition: make_bimodule refuses exactly
+        # those with an entry that breaks the right rule, and the rest
+        # match the reference
         rng = Random(12)
-        unchained = 0
+        refused = 0
         for t in range(40):
             table = dict(random_unchained_table(rng, I, I, 1,
                                                 rng.randrange(1, 4)).table)
             if t % 2:
                 for k, v in I.d1.items():
                     table[k] = table.get(k, frozenset()) ^ v
-            M = make_bimodule(A, A, self.GENS, table)
-            unchained += not M.is_chained
-            assert_matches_reference(M)
-        assert unchained >= 20
+            chained = all(is_chained_entry(I, I, x, seq, outs)
+                          for (x, seq), outs in table.items())
+            if chained:
+                assert_matches_reference(
+                    make_bimodule(A, A, self.GENS, table))
+            else:
+                refused += 1
+                with pytest.raises(IdempotentMismatch,
+                                   match="right-idempotent"):
+                    make_bimodule(A, A, self.GENS, table)
+        assert refused == 28
 
     def test_identity_forced_unchained(self):
-        M = make_bimodule(A, A, self.GENS, I.d1)
-        M.is_chained = False  # sweep every sequence, not the chained ones
-        report = assert_matches_reference(M)
-        assert report.passed and report.tested == 1092
+        # the identity table with one entry whose input starts at the
+        # wrong idempotent is refused, naming that entry
+        table = dict(I.d1)
+        table[GI0, (R2,)] = frozenset(((I0, GI0),))
+        with pytest.raises(IdempotentMismatch) as info:
+            make_bimodule(A, A, self.GENS, table)
+        assert str(info.value) == ("input r[2-3] at (h(1 3), arity 1) "
+                                   "violates right-idempotent compatibility")
 
     def test_generators_with_distinct_idempotents(self):
         gens = [("x", I0, I1), ("y", I1, I1), ("w", I0, I0)]
@@ -251,9 +310,7 @@ class TestStructureReference:
         rng = Random(13)
         for _ in range(20):
             table = random_chained_table(rng, base, base, 1, 3).table
-            M = make_bimodule(A, A, gens, table)
-            assert M.is_chained
-            assert_matches_reference(M)
+            assert_matches_reference(make_bimodule(A, A, gens, table))
 
     def test_tested_counts(self):
         M2 = make_bimodule(A, A, [("u", I0, I0), ("v", I0, I0)],
@@ -390,38 +447,61 @@ class TestHomology:
 
 
 class TestIdentityTracksAlgebraAxioms:
-    def test_broken_differential_breaks_the_identity_bimodule(self):
-        # d(x) = y where y carries different idempotents: Leibniz fails in
-        # the algebra, and the identity bimodule fails the structure
-        # relation at (i, [x])
-        from strandcalc.strands import verify_dga
-        B = DGAlgebra(
-            basis_names=("i", "k", "x", "y"),
-            idempotents=(0, 1),
-            left_idem=(0, 1, 0, 1),
-            right_idem=(0, 1, 1, 0),
-            diff={2: frozenset((3,))},
-            row_fn=table_mult({
-                (0, 0): frozenset((0,)), (1, 1): frozenset((1,)),
-                (0, 2): frozenset((2,)), (2, 1): frozenset((2,)),
-                (1, 3): frozenset((3,)), (3, 0): frozenset((3,))}),
-        )
-        algebra_report = verify_dga(B, 10 ** 4)
-        assert algebra_report.check("leibniz").witnesses == (
-            ("i", "x"), ("k", "x"), ("x", "i"), ("x", "k"))
-        J = identity_bimodule(B)
-        assert not check_structure(J).passed
+    def test_broken_product_breaks_the_identity_bimodule(self):
+        # y.z = i where y.z should end at k: with d(x) = y, Leibniz fails
+        # at (x, z), associativity at (y, z, c) for each c that i or k
+        # multiplies, and the identity bimodule fails the structure
+        # relation at (i, [y, z])
+        B = hand_written_algebras()[1]
+        report = verify_dga(B)
+        assert report.check("d_squared").passed
+        assert report.check("leibniz").witnesses == (("x", "z"),)
+        assert report.check("associativity").witnesses == tuple(
+            ("y", "z", c) for c in ("i", "k", "x", "y"))
+        rep = check_structure(identity_bimodule(B))
+        assert not rep.passed
+        assert rep.witness == ("i", ("y", "z"), ("i : i", "i : k"))
+
+    def test_differential_moving_idempotents_refused(self):
+        # d(x) = y with x from i to k and y from k to i
+        with pytest.raises(ValueError) as info:
+            DGAlgebra(("i", "k", "x", "y"), (0, 1), (0, 1, 0, 1),
+                      (0, 1, 1, 0), {2: frozenset((3,))},
+                      row_fn=table_mult({}))
+        assert str(info.value) == ("d(x) has the term y, whose idempotents "
+                                   "differ")
 
     def test_verified_algebra_gives_checked_identity(self):
         assert check_structure(identity_bimodule(A)).passed
 
 
-class TestChainedDetection:
-    def test_identity_is_chained(self):
-        assert I.is_chained
-
-    def test_unchained_table_detected(self):
-        # sequence starts at the wrong idempotent for the generator
-        M = make_bimodule(A, A, [("x", I0, I0), ("y", I1, I1)],
-                          {(0, (R2,)): [(R12, 0)]})
-        assert not M.is_chained
+class TestTablesKeepBothRules:
+    def test_built_tables_rescreen_unchanged(self):
+        # every table the library builds keeps both idempotent rules, so
+        # checked_table gives it back unchanged: the morphism-complex
+        # differential, composition, box products walked, read off a
+        # unit and whiskered, the mapping cone, identities and a homotopy
+        # witness, on random chained inputs over the torus and genus 2
+        rng = Random(33)
+        P, Q = (TypeDABimodule(A, A, I.gens, random_chained_table(
+            rng, I, I, cap, 6).table, label=f"R{cap}") for cap in (1, 2))
+        F, F2 = (random_chained_table(rng, P, P, 2, 6) for _ in range(2))
+        G = random_chained_table(rng, Q, Q, 1, 6)
+        FI = random_chained_table(rng, I, I, 2, 6)
+        ID = identity_morphism(I)
+        witness = is_homotopic(ID + morphism_differential(
+            random_chained_table(rng, I, I, 1, 5)), ID, 1)
+        B2 = build_dga(split_circle(2))
+        I2 = identity_bimodule(B2)
+        H2 = sampled_chained_table(rng, I2, I2, 2, 8)
+        built = [
+            morphism_differential(F), compose(F2, F),
+            box_bimodules(P, Q), box_bimodules(P, I), box_bimodules(I, Q),
+            box_morphisms(F, G), box_morphism_left(F, I),
+            box_morphism_right(I, G), box_morphisms(FI, identity_morphism(Q)),
+            mapping_cone(F), I, identity_morphism(P), witness.h,
+            morphism_differential(H2),
+            box_morphisms(H2, identity_morphism(I2))]
+        assert all(T.table for T in built)
+        for T in built:
+            assert rescreened(T) == T.table

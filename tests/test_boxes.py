@@ -8,8 +8,7 @@ from random import Random
 import pytest
 
 from strandcalc import boxes, morphisms
-from strandcalc.bimodules import (TypeDABimodule, check_structure,
-                                  checked_table, homology,
+from strandcalc.bimodules import (TypeDABimodule, check_structure, homology,
                                   identity_bimodule, make_bimodule)
 from strandcalc.circles import split_circle, torus_circle
 from strandcalc.errors import MiddleAlgebraMismatch, UnknownSymbol
@@ -21,7 +20,7 @@ from strandcalc.boxes import (box_bimodules, box_morphism_left,
                               box_morphism_right, box_morphisms)
 from strandcalc.strands import build_dga
 
-from helpers import (random_chained_table, random_unchained_table,
+from helpers import (random_chained_table, rescreened,
                      sampled_chained_table, unpruned_box_left,
                      unpruned_box_right, unpruned_chain_states,
                      unpruned_morphism_chain_states)
@@ -455,11 +454,7 @@ class TestPrunedWalk:
         assert box.table == reference
         if ordered:
             assert list(box.table.items()) == list(reference.items())
-        source, target = ((box, box) if isinstance(box, TypeDABimodule)
-                          else (box.source, box.target))
-        clean = checked_table(source.left_algebra, source.right_algebra,
-                              source.gens, target.gens, box.table)
-        assert list(clean.items()) == list(box.table.items())
+        assert list(rescreened(box).items()) == list(box.table.items())
         assert all(type(v) is frozenset for v in box.table.values())
 
     def check(self, F, G):
@@ -473,7 +468,7 @@ class TestPrunedWalk:
             self.assert_same(DAMorphism(PQ, PQ, boxes._walk_left(P, Q)),
                              reference)
             self.assert_same(PQ, reference, ordered=not unit)
-            assert (PQ.table is P.table) == (Q.is_unit and P.is_chained)
+            assert (PQ.table is P.table) == Q.is_unit
         left = unpruned_box_left(F, N, N2, M)
         right = unpruned_box_right(N2, G)
         FM, N2G = box_morphism_left(F, M), box_morphism_right(N2, G)
@@ -483,7 +478,7 @@ class TestPrunedWalk:
                                     walk_right(N2, G)), right)
         self.assert_same(FM, left, ordered=not unit)
         self.assert_same(N2G, right, ordered=not unit)
-        assert (FM.table is F.table) == (M.is_unit and F.is_chained)
+        assert (FM.table is F.table) == M.is_unit
         NM, N2M = box_bimodules(N, M), box_bimodules(N2, M)
         reference = compose(
             DAMorphism(N2M, box_bimodules(N2, M2), right),
@@ -573,8 +568,7 @@ def walks(monkeypatch):
 class TestUnitLaws:
     """N . I(A) and I(A) . M are read off the other factor, and equal the
     unpruned walk as mappings, with the walk's names and labels; a factor
-    that is not exactly I(A), or an unchained left factor of I(A), takes
-    the walk."""
+    that is not exactly I(A) takes the walk."""
 
     @staticmethod
     def assert_product(P, N, M):
@@ -586,7 +580,8 @@ class TestUnitLaws:
 
     @staticmethod
     def unscreened(I, table, label):
-        """I's generators with a table that make_bimodule might refuse."""
+        """I's generators with a table, built without make_bimodule's
+        screen (no structure relation is needed)."""
         return TypeDABimodule(I.left_algebra, I.right_algebra, I.gens,
                               table, label=label)
 
@@ -597,8 +592,7 @@ class TestUnitLaws:
             right, left = box_bimodules(N, I), box_bimodules(I, N)
             self.assert_product(right, N, I)
             self.assert_product(left, I, N)
-            assert (right.table is N.table) == N.is_chained
-            assert walks == ([] if N.is_chained else [("left", N)])
+            assert right.table is N.table and walks == []
             assert right.is_unit == N.is_unit
 
     def check_morphisms(self, I, tables, walks):
@@ -608,30 +602,18 @@ class TestUnitLaws:
             FI, IF = box_morphism_left(F, I), box_morphism_right(I, F)
             assert FI.table == unpruned_box_left(F, F.source, F.target, I)
             assert IF.table == unpruned_box_right(I, F)
-            assert (FI.table is F.table) == F.is_chained
-            assert walks == ([] if F.is_chained else [("left", F)])
+            assert FI.table is F.table and walks == []
             assert (FI.label, IF.label) == (f"{F.label}.id", f"id.{F.label}")
 
     def test_torus(self, walks):
         rng = Random(80)
         chained = [TestPrunedWalk.random_bimodule(rng, cap, f"R{cap}")
                    for cap in range(4)]
-        unchained = [self.unscreened(I, random_unchained_table(
-            rng, I, I, cap, 8).table, f"U{cap}") for cap in range(4)]
-        # outputs that are not sandwiched, which the walks read as zero
-        loose = self.unscreened(I, {(x, seq): frozenset(
-            (b, y) for b in range(A.size) for y in range(I.size))
-            for x in range(I.size) for seq in ((), (I0,))}, "L")
-        assert all(N.is_chained for N in chained)
-        assert not any(N.is_chained for N in unchained + [loose])
-        assert any(not seq for N in chained + unchained
-                   for _, seq in N.table)
-        self.check_bimodules(I, chained + unchained + [loose, M2, I], walks)
+        assert any(not seq for N in chained for _, seq in N.table)
+        self.check_bimodules(I, chained + [M2, I], walks)
         tables = [DAMorphism(P, P, random_chained_table(
             rng, P, P, cap, 8).table, label="F")
             for P in (I, M2) for cap in range(3)]
-        tables += [DAMorphism(P, P, random_unchained_table(
-            rng, P, P, 2, 8).table, label="U") for P in (I, M2)]
         self.check_morphisms(I, tables, walks)
 
     def test_genus_two(self, walks):
@@ -639,17 +621,12 @@ class TestUnitLaws:
         rng = Random(81)
         chained = [self.unscreened(I2, sampled_chained_table(
             rng, I2, I2, cap, 12).table, f"R{cap}") for cap in (0, 1, 2)]
-        unchained = [self.unscreened(I2, random_unchained_table(
-            rng, I2, I2, 1, 12).table, "U")]
-        assert any(not seq for N in chained + unchained
-                   for _, seq in N.table)
-        self.check_bimodules(I2, chained + unchained + [I2], walks)
+        assert any(not seq for N in chained for _, seq in N.table)
+        self.check_bimodules(I2, chained + [I2], walks)
         tables = [DAMorphism(I2, I2, (identity_morphism(I2)
                                       + sampled_chained_table(
                                           rng, I2, I2, cap, 12)).table,
                              label="F") for cap in (0, 1, 2)]
-        tables.append(DAMorphism(I2, I2, random_unchained_table(
-            rng, I2, I2, 1, 12).table, label="U"))
         self.check_morphisms(I2, tables, walks)
 
     def test_near_identities_take_the_walk(self, walks):
@@ -666,7 +643,6 @@ class TestUnitLaws:
             R = self.unscreened(unit, sampled_chained_table(
                 rng, unit, unit, 2, 8).table, "R")
             assert unit.is_unit and not K.is_unit
-            assert R.is_chained
             del walks[:]
             RK, KR = box_bimodules(R, K), box_bimodules(K, R)
             self.assert_product(RK, R, K)
@@ -695,5 +671,5 @@ class TestUnitLaws:
         JJ = box_bimodules(J, J)
         assert JJ.table is J.table and compared == [J]
         assert [JJ.__dict__[verdict] for verdict in (
-            "is_unit", "is_chained", "strictly_unital")] == [True] * 3
+            "is_unit", "strictly_unital")] == [True] * 2
         assert not copy_of(M2).is_unit

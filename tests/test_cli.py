@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from strandcalc import cli
 from strandcalc.clf import MAX_TWIST_NESTING
 
@@ -62,6 +64,37 @@ class TestExitCodes:
         assert proc.returncode == 2 and not proc.stdout
         line = text.splitlines().index(header) + 1
         assert f"line {line}, col 25: trailing input" in proc.stderr
+
+    @pytest.mark.parametrize("entry,message", [
+        ("  D1 u [] = h(1 3) : w",
+         "output h(1 3) : w at (u, arity 0) violates right-idempotent "
+         "compatibility"),
+        ("  D1 u [r[2-3]] = h(1 3) : u",
+         "input r[2-3] at (u, arity 1) violates right-idempotent "
+         "compatibility"),
+        ("  F u [] = h(1 3) : w",
+         "output h(1 3) : w at (u, arity 0) violates right-idempotent "
+         "compatibility"),
+        ("  F u [r[1-2]] = h(1 3) : u",
+         "output h(1 3) : u at (u, arity 1) violates right-idempotent "
+         "compatibility"),
+    ], ids=["D1 output", "D1 inputs", "F output", "F inputs"])
+    def test_right_idempotent_mismatch_is_two(self, tmp_path, capsys, entry,
+                                              message):
+        # w's right idempotent is h(2 4), u's h(1 3); r[1-2] ends at h(2 4)
+        # and r[2-3] starts there; the error is located at the block
+        d1, f = ((entry, "") if entry.startswith("  D1") else ("", entry))
+        text = ("PMC T GENUS 1 PAIRS (1 3) (2 4)\nALGEBRA A FROM T\n"
+                "BIMODULE M OVER A A {\n  GEN u L=h(1 3) R=h(1 3)\n"
+                f"  GEN w L=h(1 3) R=h(2 4)\n{d1}\n}}\n"
+                f"MORPHISM F FROM M TO M {{\n{f}\n}}\n")
+        doc = tmp_path / "right.bhf"
+        doc.write_text(text)
+        assert cli.main(["-f", str(doc), "morphism", "verify", "F"]) == 2
+        out, err = capsys.readouterr()
+        header = "BIMODULE M OVER A A {" if d1 else "MORPHISM F FROM M TO M {"
+        line = text.splitlines().index(header) + 1
+        assert not out and err == f"error: line {line}, col 0: {message}\n"
 
     def test_unresolved_name_is_two(self):
         proc = run("pmc", "check", "NOPE")

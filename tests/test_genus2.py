@@ -4,11 +4,14 @@ import hashlib
 import tracemalloc
 from random import Random
 
+import pytest
+
 from strandcalc import boxes, clf
 from strandcalc.bimodules import (TypeDABimodule, check_structure,
                                   homology, identity_bimodule,
                                   make_bimodule, named_entry, sandwiched)
 from strandcalc.circles import make_pmc, reverse, split_circle, torus_circle
+from strandcalc.errors import IdempotentMismatch
 from strandcalc.morphisms import (HomotopyWitness, identity_morphism,
                                   is_closed, is_homotopic,
                                   is_naive_quasi_iso, make_morphism,
@@ -18,11 +21,10 @@ from strandcalc.boxes import box_bimodules
 from strandcalc.strands import (EMPTY, DGAlgebra, build_dga,
                                 enumerate_basis, verify_dga)
 
-from helpers import (flipped, input_positions, joins_checked, product_flips,
+from helpers import (flipped, joins_checked, product_flips,
                      random_chained_table, spy_solve,
-                     reference_arity_zero_complex, reference_defect,
-                     reference_structure, ref_multiply, ref_products,
-                     relation_by_morphism_complex)
+                     reference_arity_zero_complex, reference_structure,
+                     ref_multiply, ref_products, relation_by_morphism_complex)
 
 A2 = build_dga(split_circle(2), label="A2")
 I2 = identity_bimodule(A2, label="I2")
@@ -188,29 +190,20 @@ class TestGenus2Bimodules:
         assert rep.tested == positions == 24960
 
     def test_unchained_entry(self):
-        # one D1 entry whose input starts at the wrong idempotent: the
-        # relation now ranges over all 16 * (1 + 688 + 688^2) positions of
-        # arity <= 2, and fails first at arity 2
+        # one D1 entry whose input starts at the wrong idempotent is a
+        # term on a zero element: make_bimodule refuses it by name, where
+        # the relation once swept all 16 * (1 + 688 + 688^2) positions of
+        # arity <= 2 for it
         x = I2.gen_index("h(1 3)h(5 7)")
         table = dict(I2.d1)
         table[(x, (A2.index("h(2 4)h(6 8)"),))] = \
             frozenset(((I2.gens[x].left, x),))
-        M = make_bimodule(A2, A2, [(g.name, g.left, g.right)
+        with pytest.raises(IdempotentMismatch) as info:
+            make_bimodule(A2, A2, [(g.name, g.left, g.right)
                                    for g in I2.gens], table)
-        rep = check_structure(M)
-        assert not M.is_chained and not rep.restricted_to_chained
-        assert rep.tested == 16 * (1 + 688 + 688 ** 2) == 7584528
-        assert not rep.passed
-        assert rep.witness == ("h(1 3)h(2 4)",
-                               ("r[1-3]r[2-5]", "h(2 4)h(6 8)"),
-                               ("r[1-3]r[2-5] : h(1 3)h(5 7)",))
-        gen = M.gen_index(rep.witness[0])
-        seq = tuple(A2.index(a) for a in rep.witness[1])
-        assert {f"{A2.name(b)} : {M.gens[y].name}"
-                for b, y in reference_defect(M, gen, seq)} \
-            == set(rep.witness[2])
-        assert not any(reference_defect(M, y, s)
-                       for y, s in input_positions(M, 1, chained=False))
+        assert str(info.value) == (
+            "input h(2 4)h(6 8) at (h(1 3)h(5 7), arity 1) violates "
+            "right-idempotent compatibility")
 
     def test_identity_box_identity(self):
         B = box_bimodules(I2, I2)
